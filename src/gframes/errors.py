@@ -12,7 +12,7 @@ class NotHermitianError(GFrameError):
 
 
 class ConvergenceError(GFrameError):
-    """The eigensolver did not reach the off-diagonal threshold within the sweep cap."""
+    """LAPACK's Hermitian eigensolver reported that it did not converge."""
 
 
 class NotPositiveDefiniteError(GFrameError):

@@ -33,10 +33,13 @@ def frame_to_dict(f: GFrame) -> dict:
 def _as_real_grid(value, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise FrameFormatError(f"{where} must be a list of {rows} rows")
-    grid = np.zeros((rows, cols))
+    # Shapes are checked before allocating, so a huge declared dim_h cannot
+    # request memory the document does not back with entries.
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise FrameFormatError(f"{where} row {r} must be a list of {cols} numbers")
+    grid = np.zeros((rows, cols))
+    for r, row in enumerate(value):
         for c, item in enumerate(row):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not a number")

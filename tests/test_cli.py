@@ -1,6 +1,7 @@
 """CLI contract: commands, round trips, determinism, and exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ class TestAnalyze:
         path.write_text("{oops")
         code, _, _ = run(capsys, "analyze", str(path))
         assert code == 2
+
+    def test_huge_dim_h_exits_2_without_allocating(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim_h": 1000000000000, "operators": [{"rows": 1, "re": [[1.0]]}]}')
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "analyze", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "operators[0].re row 0 must be a list of 1000000000000 numbers" in err
+        assert peak < 1 << 20
+
+    def test_eigensolver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "onb.json"
+        save_frame(GFrame([np.eye(2)]), path)
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "did not converge" in err
 
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "f.json"

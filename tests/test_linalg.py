@@ -1,12 +1,14 @@
 """Numeric core: products, adjoints, norms, traces, eigensolver, fractional powers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gframes.errors import NotHermitianError, NotPositiveDefiniteError
+from gframes.errors import ConvergenceError, NotHermitianError, NotPositiveDefiniteError
 from gframes.linalg import (
+    HERMITIAN_INPUT_TOLERANCE,
     RANK_TOLERANCE,
     adjoint,
     frobenius_norm,
@@ -178,6 +180,50 @@ class TestHermitianEig:
         e = hermitian_eig(np.zeros((3, 3)))
         assert np.array_equal(e.eigenvalues, np.zeros(3))
         assert np.array_equal(e.eigenvectors, np.eye(3))
+
+    def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(np.eye(2))
+
+    # Scales of the frame operator of a frame whose entries are 1e-90, 1e80
+    # and 1e150: squared entries underflow or overflow at the first two.
+    @pytest.mark.parametrize("c", (1e-180, 1e160, 1e300))
+    def test_extreme_scale_emits_no_warning(self, rng, c):
+        m = random_hermitian(rng, 6)
+        ref = hermitian_eig(m).eigenvalues
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = hermitian_eig(c * m)
+        assert np.abs(e.eigenvalues / c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("c", (1.0, 1e-180, 1e160, 1e300))
+    def test_hermitian_check_decision_at_any_scale(self, rng, c):
+        # M = c (H + t K) with K skew-Hermitian, so ||M - M*||_F = 2 c t ||K||_F
+        # and ||M||_F = c hypot(||H||_F, t ||K||_F). The reference decision
+        # uses only these scalars, so it stays in range at every c; the
+        # matrices sit 1e-6 (relative) either side of its threshold.
+        h = random_hermitian(rng, 5)
+        g = random_complex(rng, 5, 5)
+        k = 0.5 * (g - g.conj().T)
+        h_norm, k_norm = frobenius_norm(h), frobenius_norm(k)
+
+        def rejected(t):
+            asym = 2.0 * c * t * k_norm
+            return asym > HERMITIAN_INPUT_TOLERANCE * (1.0 + c * math.hypot(h_norm, t * k_norm))
+
+        lo, hi = 1e-300, 1e300
+        for _ in range(200):
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            lo, hi = (lo, mid) if rejected(mid) else (mid, hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hermitian_eig(c * h + (c * lo * (1 - 1e-6)) * k)
+            with pytest.raises(NotHermitianError):
+                hermitian_eig(c * h + (c * hi * (1 + 1e-6)) * k)
 
 
 class TestMatrixPower:

@@ -1,7 +1,11 @@
 """Frame model: frame operator, bounds, transforms, analysis/synthesis, reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gframes.errors import NotAFrameError
 from gframes.linalg import frobenius_norm
@@ -19,6 +23,7 @@ from gframes.model import (
 )
 from gframes.generators import random_gframe, random_parseval_gframe
 
+from conftest import random_complex
 
 
 def orthonormal_rows_frame(n=2):
@@ -282,3 +287,43 @@ class TestEnergyDiagnostic:
         assert abs(total_frobenius_energy(f) - float(np.trace(s).real)) <= 1e-10 * (
             1 + abs(float(np.trace(s).real))
         )
+
+
+# Entry scales at which the squared entries of S underflow (1e-90) or
+# overflow (1e80, 1e150).
+EXTREME_SCALES = (1e-90, 1e80, 1e150)
+
+
+def four_operator_frame():
+    """A fixed random frame of four 2 x 4 operators in C^4."""
+    rng = np.random.default_rng(41)
+    return GFrame([random_complex(rng, 2, 4) for _ in range(4)])
+
+
+def scaled(f, c):
+    return GFrame([c * op for op in f.operators], dim_h=f.dim_h)
+
+
+def assert_bounds_scale_as_c_squared(c):
+    f = four_operator_frame()
+    ref = validate_frame(f)
+    got = validate_frame(scaled(f, c))
+    assert math.isclose(got.lower, c * c * ref.lower, rel_tol=1e-12)
+    assert math.isclose(got.upper, c * c * ref.upper, rel_tol=1e-12)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_bounds_scale_as_c_squared(self, c):
+        assert_bounds_scale_as_c_squared(c)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_canonical_parseval_is_parseval(self, c):
+        p = canonical_parseval(scaled(four_operator_frame(), c))
+        n = p.dim_h
+        assert frobenius_norm(frame_operator(p).matrix - np.eye(n)) <= 1e-12 * n
+
+    @settings(deadline=None)
+    @given(k=st.integers(min_value=-90, max_value=150))
+    def test_bounds_scale_property(self, k):
+        assert_bounds_scale_as_c_squared(10.0**k)
