@@ -4,6 +4,7 @@ from .errors import (
     ConvergenceError,
     EpsilonOutOfRangeError,
     FrameFormatError,
+    FrameOverflowError,
     GFrameError,
     NotADualError,
     NotAFrameError,

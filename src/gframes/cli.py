@@ -131,9 +131,7 @@ def cmd_dual(args) -> int:
     dual = random_alternate_dual(frame, magnitude=args.magnitude, seed=args.seed)
     cert = verify_alternate_dual(frame, dual)
     canonical = canonical_dual(frame)
-    distance_sq = sum(
-        frobenius_norm_sq(a - b) for a, b in zip(dual.operators, canonical.operators)
-    )
+    distance_sq = frobenius_norm_sq(dual.stacked - canonical.stacked)
     lines = [
         f"dual_residual: {cert.residual!r}",
         f"dual_tolerance: {cert.tolerance!r}",

@@ -8,16 +8,16 @@ from math import sqrt
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, PostconditionError
-from .identities import DUAL_TOLERANCE, canonical_dual_gap, parseval_gap
-from .linalg import matrix_power_eig
+from .identities import canonical_dual_gap, parseval_gap
 from .model import (
+    DUAL_TOLERANCE,
     GFrame,
     dual_residual,
     frame_operator,
     require_matching_shapes,
     validate_frame,
 )
-from .rng import complex_gaussian_matrix, stream
+from .rng import complex_gaussian_blocks, stream
 
 
 @dataclass(frozen=True)
@@ -50,22 +50,15 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     if magnitude < 0:
         raise ValueError(f"magnitude must be non-negative, got {magnitude}")
     validate_frame(lam)
-    inv = matrix_power_eig(frame_operator(lam).eig, -1.0)
-    gen = stream(seed)
-    deltas = []
-    for op in lam.operators:
-        block = complex_gaussian_matrix(gen, op.shape[0], lam.dim_h)
-        norm = sqrt(float(np.sum(block.real**2 + block.imag**2)))
-        deltas.append(block * (magnitude / norm) if norm > 0 else np.zeros_like(block))
-    pulled = np.zeros((lam.dim_h, lam.dim_h), dtype=np.complex128)
-    for op, delta in zip(lam.operators, deltas):
-        pulled += op.conj().T @ delta
-    correction = inv @ pulled
-    duals = [
-        op @ inv + delta - op @ correction
-        for op, delta in zip(lam.operators, deltas)
-    ]
-    return GFrame(duals, dim_h=lam.dim_h)
+    inv = frame_operator(lam).power(-1.0)
+    t = lam.stacked
+    blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
+    row_sq = np.sum(blocks.real**2 + blocks.imag**2, axis=1)
+    norms = np.sqrt(np.add.reduceat(row_sq, lam.offsets[:-1]))
+    scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
+    deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
+    correction = inv @ (t.conj().T @ deltas)
+    return GFrame.from_stacked(t @ inv + deltas - t @ correction, lam.counts)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, int]:
@@ -128,6 +121,4 @@ def extremal_frame(n: int, epsilon: float) -> GFrame:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= epsilon < 1.0:
         raise EpsilonOutOfRangeError("epsilon must lie in [0,1)", epsilon=epsilon)
-    scale = sqrt(1.0 - epsilon)
-    eye = np.eye(n)
-    return GFrame([scale * eye[k : k + 1, :] for k in range(n)], dim_h=n)
+    return GFrame.from_stacked(sqrt(1.0 - epsilon) * np.eye(n), (1,) * n)

@@ -15,6 +15,10 @@ class ConvergenceError(GFrameError):
     """LAPACK's Hermitian eigensolver reported that it did not converge."""
 
 
+class FrameOverflowError(GFrameError):
+    """The frame operator S = T* T of the family overflows double precision."""
+
+
 class NotPositiveDefiniteError(GFrameError):
     """Matrix power requested on a matrix that is not safely positive definite."""
 

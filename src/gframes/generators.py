@@ -11,7 +11,7 @@ import numpy as np
 from .errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
 from .linalg import frobenius_norm
 from .model import GFrame, canonical_parseval, validate_frame
-from .rng import complex_gaussian_matrix, stream
+from .rng import complex_gaussian_blocks, complex_gaussian_matrix, stream
 
 RETRY_CAP = 16
 
@@ -35,7 +35,7 @@ def _random_gframe(n: int, counts, seed: int) -> tuple[GFrame, np.random.Generat
     counts = _check_params(n, counts)
     for retry in range(RETRY_CAP):
         gen = stream(seed, substream=retry)
-        f = GFrame([complex_gaussian_matrix(gen, k, n) for k in counts], dim_h=n)
+        f = GFrame.from_stacked(complex_gaussian_blocks(gen, counts, n), counts)
         try:
             validate_frame(f)
         except NotAFrameError:
@@ -98,7 +98,7 @@ def nearly_parseval_gframe(n: int, counts, epsilon: float, seed: int) -> GFrame:
         mu[1:-1] = 1.0 - epsilon + 2.0 * epsilon * gen.random(n - 2)
     q = random_unitary(gen, n)
     shaper = (q * np.sqrt(mu)) @ q.conj().T
-    return GFrame([op @ shaper for op in parseval.operators], dim_h=n)
+    return GFrame.from_stacked(parseval.stacked @ shaper, parseval.counts)
 
 
 def embed_vector_frame(vectors) -> GFrame:
@@ -110,4 +110,4 @@ def embed_vector_frame(vectors) -> GFrame:
     for idx, v in enumerate(vecs):
         if v.ndim != 1 or v.shape[0] != n:
             raise ValueError(f"vector {idx} must be one-dimensional of length {n}")
-    return GFrame([v.conj()[np.newaxis, :] for v in vecs], dim_h=n)
+    return GFrame.from_stacked(np.conj(vecs), (1,) * len(vecs))

@@ -11,27 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotADualError, NotParsevalError, PostconditionError
-from .linalg import frobenius_norm, frobenius_norm_sq, matrix_power_eig, as_matrix, trace
+from .linalg import as_matrix, as_vector, frobenius_norm_sq, trace
 from .model import (
+    DUAL_TOLERANCE,
+    PARSEVAL_TOLERANCE,
     GFrame,
-    analysis_apply,
     dual_residual,
     frame_operator,
+    parseval_defect,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
 )
-
-# Families qualify as Parseval when ||S - I||_F <= PARSEVAL_TOLERANCE * n.
-PARSEVAL_TOLERANCE = 1e-6
-# Alternate duals must satisfy ||sum adjoint(lam_i) gam_i - I||_F <= DUAL_TOLERANCE * n.
-DUAL_TOLERANCE = 1e-8
-
-
-def parseval_defect(g: GFrame) -> float:
-    """||S - I||_F for the family."""
-    s = frame_operator(g).matrix
-    return frobenius_norm(s - np.eye(g.dim_h))
 
 
 def require_parseval(g: GFrame, name: str = "frame") -> None:
@@ -69,7 +60,7 @@ def parseval_weighted_energy(weight, g: GFrame) -> float:
     if w.shape[1] != g.dim_h:
         raise ValueError(f"weight must have {g.dim_h} columns, got {w.shape[1]}")
     require_parseval(g)
-    value = float(sum(frobenius_norm_sq(w @ op.conj().T) for op in g.operators))
+    value = frobenius_norm_sq(g.stacked @ w.conj().T)
     closed = frobenius_norm_sq(w)
     _check(
         abs(value - closed) <= 1e-8 * (1.0 + closed),
@@ -90,14 +81,13 @@ def parseval_frobenius_budget(g: GFrame) -> float:
 def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
     """Two routes to the same number: energy of the S^a-weighted family vs a trace.
 
-    Returns (lhs, rhs) with lhs the operator-by-operator sum of
-    ||op @ S^a||_F^2 and rhs the trace of S^(2a + 1).
+    Returns (lhs, rhs) with lhs the sum of ||op @ S^a||_F^2 over the
+    operators, i.e. ||T S^a||_F^2, and rhs the trace of S^(2a + 1).
     """
     validate_frame(g)
-    eig = frame_operator(g).eig
-    sa = matrix_power_eig(eig, a)
-    lhs = float(sum(frobenius_norm_sq(op @ sa) for op in g.operators))
-    rhs = trace(matrix_power_eig(eig, 2.0 * a + 1.0)).real
+    fo = frame_operator(g)
+    lhs = frobenius_norm_sq(g.stacked @ fo.power(a))
+    rhs = trace(fo.power(2.0 * a + 1.0)).real
     _check(
         abs(lhs - rhs) <= 1e-8 * (1.0 + rhs),
         f"power-trace identity drifted: lhs {lhs!r} vs rhs {rhs!r} at a = {a}",
@@ -118,17 +108,11 @@ def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, floa
     validate_frame(lam)
     require_parseval(gam, "second family")
     require_matching_shapes(lam, gam)
-    eig = frame_operator(lam).eig
-    root_inv = matrix_power_eig(eig, -0.5)
-    quarter = matrix_power_eig(eig, 0.25)
-    quarter_inv = matrix_power_eig(eig, -0.25)
-    total = 0.0
-    canonical_gap = 0.0
-    cross_term = 0.0
-    for a, b in zip(lam.operators, gam.operators):
-        total += frobenius_norm_sq(a - b)
-        canonical_gap += frobenius_norm_sq(a - a @ root_inv)
-        cross_term += frobenius_norm_sq(b @ quarter - a @ quarter_inv)
+    fo = frame_operator(lam)
+    a, b = lam.stacked, gam.stacked
+    total = frobenius_norm_sq(a - b)
+    canonical_gap = frobenius_norm_sq(a - a @ fo.power(-0.5))
+    cross_term = frobenius_norm_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
     _check(
         abs(total - canonical_gap - cross_term) <= 1e-7 * (1.0 + total),
         f"decomposition drifted: {total!r} vs {canonical_gap!r} + {cross_term!r}",
@@ -143,10 +127,10 @@ def parseval_gap(lam: GFrame) -> float:
     closed form sum_k (sqrt(lambda_k) - 1)^2.
     """
     validate_frame(lam)
-    eig = frame_operator(lam).eig
-    root_inv = matrix_power_eig(eig, -0.5)
-    value = float(sum(frobenius_norm_sq(op - op @ root_inv) for op in lam.operators))
-    closed = float(np.sum((np.sqrt(eig.eigenvalues) - 1.0) ** 2))
+    fo = frame_operator(lam)
+    t = lam.stacked
+    value = frobenius_norm_sq(t - t @ fo.power(-0.5))
+    closed = float(np.sum((np.sqrt(fo.eig.eigenvalues) - 1.0) ** 2))
     _check(
         abs(value - closed) <= 1e-8 * (1.0 + value),
         f"gap paths disagree: definition {value!r} vs spectral {closed!r}",
@@ -173,18 +157,13 @@ def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, fl
     """
     validate_frame(lam)
     require_alternate_dual(lam, gam)
-    inv = matrix_power_eig(frame_operator(lam).eig, -1.0)
-    lam_x = analysis_apply(lam, x)
-    gam_x = analysis_apply(gam, x)
-    inv_x = inv @ np.asarray(x, dtype=np.complex128)
-    total = 0.0
-    canonical = 0.0
-    residual = 0.0
-    for op, lx, gx in zip(lam.operators, lam_x, gam_x):
-        cx = op @ inv_x
-        total += float(np.sum(np.abs(lx - gx) ** 2))
-        canonical += float(np.sum(np.abs(lx - cx) ** 2))
-        residual += float(np.sum(np.abs(cx - gx) ** 2))
+    vec = as_vector(x, lam.dim_h, "x")
+    lam_x = lam.stacked @ vec
+    gam_x = gam.stacked @ vec
+    can_x = lam.stacked @ (frame_operator(lam).power(-1.0) @ vec)
+    total = float(np.sum(np.abs(lam_x - gam_x) ** 2))
+    canonical = float(np.sum(np.abs(lam_x - can_x) ** 2))
+    residual = float(np.sum(np.abs(can_x - gam_x) ** 2))
     _check(
         abs(total - canonical - residual) <= 1e-8 * (1.0 + total),
         f"pointwise decomposition drifted: {total!r} vs {canonical!r} + {residual!r}",
@@ -204,21 +183,18 @@ def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float
     """
     validate_frame(lam)
     require_alternate_dual(lam, gam)
-    eig = frame_operator(lam).eig
-    inv = matrix_power_eig(eig, -1.0)
-    total = 0.0
-    canonical = 0.0
-    residual = 0.0
-    for a, b in zip(lam.operators, gam.operators):
-        c = a @ inv
-        total += frobenius_norm_sq(a - b)
-        canonical += frobenius_norm_sq(a - c)
-        residual += frobenius_norm_sq(c - b)
+    fo = frame_operator(lam)
+    a, b = lam.stacked, gam.stacked
+    c = a @ fo.power(-1.0)
+    total = frobenius_norm_sq(a - b)
+    canonical = frobenius_norm_sq(a - c)
+    residual = frobenius_norm_sq(c - b)
     _check(
         abs(total - canonical - residual) <= 1e-7 * (1.0 + total),
         f"dual decomposition drifted: {total!r} vs {canonical!r} + {residual!r}",
     )
-    closed = float(np.sum((eig.eigenvalues - 1.0) ** 2 / eig.eigenvalues))
+    lam_k = fo.eig.eigenvalues
+    closed = float(np.sum((lam_k - 1.0) ** 2 / lam_k))
     _check(
         abs(canonical - closed) <= 1e-8 * (1.0 + canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",

@@ -43,9 +43,13 @@ def _as_real_grid(value, rows: int, cols: int, where: str) -> np.ndarray:
         for c, item in enumerate(row):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not a number")
-            if not math.isfinite(item):
+            try:
+                value = float(item)
+            except OverflowError:  # an integer literal beyond the double range
+                raise FrameFormatError(f"{where}[{r}][{c}] is too large for a double") from None
+            if not math.isfinite(value):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not finite")
-            grid[r, c] = float(item)
+            grid[r, c] = value
     return grid
 
 

@@ -1,9 +1,11 @@
 """Operator-valued frames on a finite-dimensional complex space.
 
 A GFrame is a finite family of operators, the i-th mapping C^n into C^(k_i),
-stored as k_i x n complex matrices. The frame operator S is the n x n sum of
-adjoint(op) @ op over the family; its spectrum supplies the optimal frame
-bounds, the nearly-Parseval rating, and every canonical transform.
+stored as k_i x n complex matrices. The family is held as its analysis
+operator T: the operators stacked by rows into one K x n matrix, with
+K = sum of the k_i. The frame operator is S = T* T; its spectrum supplies the
+optimal frame bounds, the nearly-Parseval rating, and every canonical
+transform.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFrameError
+from .errors import FrameOverflowError, NotAFrameError, PostconditionError
 from .linalg import (
     RANK_TOLERANCE,
     HermitianEigen,
@@ -23,65 +25,129 @@ from .linalg import (
     matrix_power_eig,
 )
 
+# Families qualify as Parseval when ||S - I||_F <= PARSEVAL_TOLERANCE * n.
+PARSEVAL_TOLERANCE = 1e-6
+# Alternate duals must satisfy ||sum adjoint(lam_i) gam_i - I||_F <= DUAL_TOLERANCE * n.
+DUAL_TOLERANCE = 1e-8
+
 
 class GFrame:
-    """Immutable finite family of operators with a common domain dimension."""
+    """Immutable finite family of operators with a common domain dimension.
 
-    __slots__ = ("_operators", "_dim_h", "_frame_op")
+    The operators live, in order, as the row blocks of one read-only K x n
+    array, the analysis operator T (`stacked`); `operators` are read-only
+    views of those blocks.
+    """
+
+    __slots__ = ("_stacked", "_counts", "_offsets", "_operators", "_frame_op")
 
     def __init__(self, operators, dim_h: int | None = None):
-        ops = []
+        blocks = []
         for idx, op in enumerate(operators):
-            arr = np.array(op, dtype=np.complex128)
+            arr = np.asarray(op, dtype=np.complex128)
             if arr.ndim != 2:
                 raise ValueError(f"operator {idx} must be a matrix, got shape {arr.shape}")
             if arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ValueError(f"operator {idx} must have positive dimensions")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"operator {idx} contains non-finite entries")
-            arr.setflags(write=False)
-            ops.append(arr)
-        if not ops:
+            blocks.append(arr)
+        if not blocks:
             raise ValueError("a frame needs at least one operator")
         if dim_h is None:
-            dim_h = ops[0].shape[1]
+            dim_h = blocks[0].shape[1]
         if dim_h < 1:
             raise ValueError(f"dim_h must be positive, got {dim_h}")
-        for idx, arr in enumerate(ops):
+        for idx, arr in enumerate(blocks):
             if arr.shape[1] != dim_h:
                 raise ValueError(
                     f"operator {idx} has {arr.shape[1]} columns, expected dim_h = {dim_h}"
                 )
-        self._operators = tuple(ops)
-        self._dim_h = int(dim_h)
+        self._setup(np.concatenate(blocks), [arr.shape[0] for arr in blocks])
+
+    @classmethod
+    def from_stacked(cls, stacked, counts) -> GFrame:
+        """Frame whose analysis operator is a copy of `stacked`, cut into blocks of counts[i] rows."""
+        t = np.array(stacked, dtype=np.complex128)
+        if t.ndim != 2 or t.shape[1] < 1:
+            raise ValueError(f"stacked operators must form a matrix with columns, got shape {t.shape}")
+        f = cls.__new__(cls)
+        f._setup(t, counts)
+        return f
+
+    def _setup(self, t: np.ndarray, counts) -> None:
+        counts = tuple(int(k) for k in counts)
+        if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
+            raise ValueError(
+                f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
+            )
+        offsets = (0, *np.cumsum(counts).tolist())
+        bad_rows = np.flatnonzero(~np.isfinite(t).all(axis=1))
+        if bad_rows.size:
+            idx = int(np.searchsorted(offsets, bad_rows[0], side="right")) - 1
+            raise ValueError(f"operator {idx} contains non-finite entries")
+        t.setflags(write=False)
+        self._stacked = t
+        self._counts = counts
+        self._offsets = offsets
+        self._operators = None
         self._frame_op = None
 
     @property
     def dim_h(self) -> int:
-        return self._dim_h
+        return self._stacked.shape[1]
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The analysis operator T: all operators stacked by rows, read-only, K x n."""
+        return self._stacked
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """Row offsets into `stacked`: operator i is rows offsets[i] to offsets[i + 1]."""
+        return self._offsets
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
+        if self._operators is None:
+            t, off = self._stacked, self._offsets
+            self._operators = tuple(t[off[i] : off[i + 1]] for i in range(len(self._counts)))
         return self._operators
 
     @property
     def counts(self) -> tuple[int, ...]:
         """Output dimension k_i of each operator."""
-        return tuple(op.shape[0] for op in self._operators)
+        return self._counts
 
     def __len__(self) -> int:
-        return len(self._operators)
+        return len(self._counts)
 
     def __repr__(self) -> str:
-        return f"GFrame(dim_h={self._dim_h}, counts={list(self.counts)})"
+        return f"GFrame(dim_h={self.dim_h}, counts={list(self.counts)})"
 
 
-@dataclass(frozen=True, eq=False)
 class FrameOperator:
-    """The matrix S with its cached eigendecomposition."""
+    """The matrix S of a frame; its eigendecomposition and powers are computed on first use."""
 
-    matrix: np.ndarray
-    eig: HermitianEigen
+    __slots__ = ("matrix", "_eig", "_powers")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self._eig = None
+        self._powers = {}
+
+    @property
+    def eig(self) -> HermitianEigen:
+        if self._eig is None:
+            self._eig = hermitian_eig(self.matrix)
+        return self._eig
+
+    def power(self, a: float) -> np.ndarray:
+        """S^a (read-only), memoized per exponent; gates on positive definiteness."""
+        cached = self._powers.get(a)
+        if cached is None:
+            cached = matrix_power_eig(self.eig, a)
+            cached.setflags(write=False)
+            self._powers[a] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -98,18 +164,24 @@ class FrameBounds:
 
 
 def frame_operator(f: GFrame) -> FrameOperator:
-    """S = sum of adjoint(op) @ op, with eigendecomposition; cached per frame."""
+    """S = T* T as one product; cached per frame.
+
+    Raises FrameOverflowError when an entry of S exceeds the double range.
+    """
     cached = f._frame_op
     if cached is not None:
         return cached
-    n = f.dim_h
-    s = np.zeros((n, n), dtype=np.complex128)
-    for op in f.operators:
-        s += op.conj().T @ op
+    t = f.stacked
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = t.conj().T @ t
+    if not np.isfinite(s).all():
+        raise FrameOverflowError(
+            f"frame is too large: S = T* T overflows double precision "
+            f"(largest operator entry modulus {float(np.max(np.abs(t))):.3e})"
+        )
     s.setflags(write=False)
-    result = FrameOperator(matrix=s, eig=hermitian_eig(s))
-    f._frame_op = result
-    return result
+    f._frame_op = FrameOperator(s)
+    return f._frame_op
 
 
 def validate_frame(f: GFrame) -> FrameBounds:
@@ -130,43 +202,66 @@ def validate_frame(f: GFrame) -> FrameBounds:
     return FrameBounds(lower=lower, upper=upper, epsilon=epsilon)
 
 
+def parseval_defect(g: GFrame) -> float:
+    """||S - I||_F for the family."""
+    s = frame_operator(g).matrix
+    return frobenius_norm(s - np.eye(g.dim_h))
+
+
 def analysis_apply(f: GFrame, x) -> list[np.ndarray]:
     """The coefficient family (op @ x) for each operator."""
     vec = as_vector(x, f.dim_h, "x")
-    return [op @ vec for op in f.operators]
+    return np.split(f.stacked @ vec, f.offsets[1:-1])
 
 
 def synthesis_apply(f: GFrame, y) -> np.ndarray:
     """Adjoint of analysis: sum of adjoint(op) @ y_i."""
     parts = list(y)
-    if len(parts) != len(f.operators):
-        raise ValueError(f"expected {len(f.operators)} coefficient blocks, got {len(parts)}")
-    out = np.zeros(f.dim_h, dtype=np.complex128)
-    for idx, (op, block) in enumerate(zip(f.operators, parts)):
-        b = as_vector(block, op.shape[0], f"y[{idx}]")
-        out += op.conj().T @ b
-    return out
+    if len(parts) != len(f):
+        raise ValueError(f"expected {len(f)} coefficient blocks, got {len(parts)}")
+    blocks = [as_vector(block, k, f"y[{idx}]") for idx, (k, block) in enumerate(zip(f.counts, parts))]
+    return f.stacked.conj().T @ np.concatenate(blocks)
 
 
 def canonical_parseval(f: GFrame) -> GFrame:
-    """Right-multiply every operator by S^(-1/2); the result has frame operator I."""
+    """Right-multiply every operator by S^(-1/2); the result has frame operator I.
+
+    Raises PostconditionError when the result misses ||S' - I||_F <=
+    PARSEVAL_TOLERANCE * n; S' stays cached on the returned frame.
+    """
     validate_frame(f)
-    root_inv = matrix_power_eig(frame_operator(f).eig, -0.5)
-    return GFrame([op @ root_inv for op in f.operators], dim_h=f.dim_h)
+    g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), f.counts)
+    defect = parseval_defect(g)
+    if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
+        raise PostconditionError(
+            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defect:.3e} "
+            f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
+        )
+    return g
 
 
 def canonical_dual(f: GFrame) -> GFrame:
-    """Right-multiply every operator by S^(-1); the canonical alternate dual."""
+    """Right-multiply every operator by S^(-1); the canonical alternate dual.
+
+    Raises PostconditionError when the result misses the dual equation by
+    more than DUAL_TOLERANCE * n.
+    """
     validate_frame(f)
-    inv = matrix_power_eig(frame_operator(f).eig, -1.0)
-    return GFrame([op @ inv for op in f.operators], dim_h=f.dim_h)
+    d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
+    residual = dual_residual(f, d)
+    if not residual <= DUAL_TOLERANCE * f.dim_h:
+        raise PostconditionError(
+            f"canonical dual fails the dual equation: residual {residual:.3e} "
+            f"exceeds {DUAL_TOLERANCE:.0e} * n"
+        )
+    return d
 
 
 def reconstruct(f: GFrame, x) -> np.ndarray:
     """Recover x as S^(-1) applied to the synthesis of the analysis coefficients."""
     validate_frame(f)
-    inv = matrix_power_eig(frame_operator(f).eig, -1.0)
-    return inv @ synthesis_apply(f, analysis_apply(f, x))
+    t = f.stacked
+    return frame_operator(f).power(-1.0) @ (t.conj().T @ (t @ as_vector(x, f.dim_h, "x")))
 
 
 def total_frobenius_energy(f: GFrame) -> float:
@@ -174,7 +269,7 @@ def total_frobenius_energy(f: GFrame) -> float:
 
     For a certified frame the value lies in [lower * n, upper * n].
     """
-    return float(sum(frobenius_norm_sq(op) for op in f.operators))
+    return frobenius_norm_sq(f.stacked)
 
 
 def matching_shapes(a: GFrame, b: GFrame) -> bool:
@@ -192,8 +287,4 @@ def require_matching_shapes(a: GFrame, b: GFrame) -> None:
 def dual_residual(lam: GFrame, gam: GFrame) -> float:
     """Frobenius distance of sum(adjoint(lam_i) @ gam_i) from the identity."""
     require_matching_shapes(lam, gam)
-    n = lam.dim_h
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for a, b in zip(lam.operators, gam.operators):
-        acc += a.conj().T @ b
-    return frobenius_norm(acc - np.eye(n))
+    return frobenius_norm(lam.stacked.conj().T @ gam.stacked - np.eye(lam.dim_h))

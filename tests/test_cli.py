@@ -123,6 +123,21 @@ class TestAnalyze:
         assert "operators[0].re row 0 must be a list of 1000000000000 numbers" in err
         assert peak < 1 << 20
 
+    def test_integer_beyond_double_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big-int.json"
+        path.write_text('{"dim_h": 2, "operators": [{"rows": 1, "re": [[0, 1' + "0" * 400 + "]]}]}")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "operators[0].re[0][1] is too large for a double" in err
+
+    def test_overflowing_frame_operator_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "large.json"
+        save_frame(GFrame([1e155 * np.eye(2)]), path)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "frame is too large: S = T* T overflows double precision" in err
+        assert "RuntimeWarning" not in err
+
     def test_eigensolver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "onb.json"
         save_frame(GFrame([np.eye(2)]), path)

@@ -1,0 +1,80 @@
+"""Golden reports: `gen` and `verify --json` outputs stored in tests/data/golden.
+
+The files were written by the per-operator implementation that preceded the
+stacked analysis operator, with the commands in CASES (frame written with
+`-o`, report from `verify <frame> --suite all --trials 4 --seed 7 --json`).
+Check names, pass flags and exit codes must match exactly; report values
+within 1e-9 * (1 + |x|).
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gframes.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+VERIFY_ARGS = ["--suite", "all", "--trials", "4", "--seed", "7", "--json"]
+VALUE_TOLERANCE = 1e-9
+# name: (gen arguments, exit code of verify)
+CASES = {
+    "extremal": (["gen", "extremal", "--n", "4", "--epsilon", "0.25"], 0),
+    "nearly-parseval": (
+        ["gen", "nearly-parseval", "--n", "8", "--counts", "3,3,3,3", "--epsilon", "0.3",
+         "--seed", "5"],
+        0,
+    ),
+    "wide-vectors": (["gen", "random", "--n", "4", "--seed", "3"], 4),
+}
+# Entries of a nearly-Parseval frame pass through S^(-1/2) and an eigensolver,
+# so their last bits follow the summation order of S = T* T; the other two
+# frames are seeded draws or scaled unit rows and must match byte for byte.
+BYTE_EXACT = ("extremal", "wide-vectors")
+ENTRY_TOLERANCE = 1e-12
+
+
+def close(a, b, tol):
+    return abs(a - b) <= tol * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_gen_reproduces_frame_file(name, capsys, tmp_path):
+    gen_args, _ = CASES[name]
+    path = tmp_path / "frame.json"
+    assert main(gen_args + ["-o", str(path)]) == 0
+    capsys.readouterr()
+    expected = (GOLDEN / f"{name}.frame.json").read_bytes()
+    written = path.read_bytes()
+    if name in BYTE_EXACT:
+        assert written == expected
+        return
+    want, got = json.loads(expected), json.loads(written)
+    assert got["dim_h"] == want["dim_h"]
+    assert [op["rows"] for op in got["operators"]] == [op["rows"] for op in want["operators"]]
+    assert [sorted(op) for op in got["operators"]] == [sorted(op) for op in want["operators"]]
+    for w, g in zip(want["operators"], got["operators"]):
+        for part in ("re", "im"):
+            a, b = np.array(w.get(part, 0.0)), np.array(g.get(part, 0.0))
+            assert np.all(np.abs(a - b) <= ENTRY_TOLERANCE * (1.0 + np.abs(a)))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_matches_golden_report(name, capsys):
+    _, exit_code = CASES[name]
+    code = main(["verify", str(GOLDEN / f"{name}.frame.json")] + VERIFY_ARGS)
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"{name}.report.json").read_text())
+    assert code == exit_code
+    assert got["overall"] == want["overall"]
+    summary, expected_summary = got["frame_summary"], want["frame_summary"]
+    assert summary["dim_h"] == expected_summary["dim_h"]
+    assert summary["counts"] == expected_summary["counts"]
+    for key in ("lower", "upper", "epsilon"):
+        assert close(expected_summary[key], summary[key], VALUE_TOLERANCE), key
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    assert [c["passed"] for c in got["checks"]] == [c["passed"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        for key in ("lhs", "rhs"):
+            assert close(w[key], g[key], VALUE_TOLERANCE), (w["name"], key, w[key], g[key])

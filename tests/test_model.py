@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gframes.errors import NotAFrameError
+from gframes import model
+from gframes.errors import NotAFrameError, PostconditionError
+from gframes.identities import parseval_frobenius_budget
 from gframes.linalg import frobenius_norm
 from gframes.model import (
     GFrame,
@@ -327,3 +329,29 @@ class TestScaleInvariance:
     @given(k=st.integers(min_value=-90, max_value=150))
     def test_bounds_scale_property(self, k):
         assert_bounds_scale_as_c_squared(10.0**k)
+
+
+class TestTransformPostconditions:
+    """A transform whose output misses its defining identity raises instead of returning it."""
+
+    @pytest.fixture
+    def perturbed_powers(self, monkeypatch):
+        exact = model.matrix_power_eig
+        monkeypatch.setattr(model, "matrix_power_eig", lambda eig, a: 1.01 * exact(eig, a))
+
+    def test_canonical_parseval_rejects_perturbed_power(self, perturbed_powers):
+        with pytest.raises(PostconditionError, match="is not Parseval"):
+            canonical_parseval(random_gframe(4, (2, 3), seed=7))
+
+    def test_canonical_dual_rejects_perturbed_power(self, perturbed_powers):
+        with pytest.raises(PostconditionError, match="fails the dual equation"):
+            canonical_dual(random_gframe(4, (2, 3), seed=7))
+
+    def test_parseval_check_needs_no_eigendecomposition(self, monkeypatch):
+        p = canonical_parseval(random_gframe(4, (2, 3), seed=7))
+
+        def refuse(_):
+            raise AssertionError("a Parseval check must not decompose S")
+
+        monkeypatch.setattr(model, "hermitian_eig", refuse)
+        assert abs(parseval_frobenius_budget(p) - 4.0) <= 1e-8 * 4
