@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .duals import extremal_frame, random_alternate_dual, verify_alternate_dual
-from .errors import EpsilonOutOfRangeError, FrameFormatError, GFrameError, NotAFrameError
+from .errors import GFrameError, NotAFrameError
 from .generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from .identities import canonical_dual_gap, parseval_gap
 from .io import load_frame, save_frame, frame_to_dict
@@ -46,42 +46,39 @@ def _summary_lines(f: GFrame) -> list[str]:
     ]
 
 
-def cmd_gen(args) -> int:
-    kind = args.kind
-    seed = args.seed
-    epsilon = args.epsilon
-    if kind in ("nearly-parseval", "extremal"):
-        if epsilon is None:
-            epsilon = 0.0 if kind == "extremal" else None
-        if epsilon is None:
-            raise ValueError("nearly-parseval needs --epsilon")
-        if not 0.0 <= epsilon < 1.0:
-            raise EpsilonOutOfRangeError("epsilon must lie in [0,1)", epsilon=epsilon)
-
-    if kind == "extremal":
-        if args.n is None:
-            raise ValueError("extremal needs --n")
-        frame = extremal_frame(args.n, epsilon)
-    else:
-        if args.n is None:
-            raise ValueError(f"{kind} needs --n")
-        counts = _parse_counts(args.counts) if args.counts else (1,) * (2 * args.n)
-        if kind == "random":
-            frame = random_gframe(args.n, counts, seed)
-        elif kind == "parseval":
-            frame = random_parseval_gframe(args.n, counts, seed)
-        else:
-            frame = nearly_parseval_gframe(args.n, counts, epsilon, seed)
-
-    lines = _summary_lines(frame)
-    if args.out:
-        save_frame(frame, args.out)
-        lines.append(f"wrote: {args.out}")
+def _write_frame(frame: GFrame, lines: list[str], out: str | None) -> int:
+    """Save to `out` and print the summary, or print the summary to stderr and the frame's JSON."""
+    if out:
+        save_frame(frame, out)
+        lines.append(f"wrote: {out}")
         print("\n".join(lines))
     else:
         print("\n".join(lines), file=sys.stderr)
         print(render_json(frame_to_dict(frame)))
     return EXIT_OK
+
+
+def cmd_gen(args) -> int:
+    kind = args.kind
+    epsilon = args.epsilon
+    if kind == "extremal" and epsilon is None:
+        epsilon = 0.0
+    if kind == "nearly-parseval" and epsilon is None:
+        raise ValueError("nearly-parseval needs --epsilon")
+    if args.n is None:
+        raise ValueError(f"{kind} needs --n")
+
+    if kind == "extremal":
+        frame = extremal_frame(args.n, epsilon)
+    else:
+        counts = _parse_counts(args.counts) if args.counts else (1,) * (2 * args.n)
+        if kind == "random":
+            frame = random_gframe(args.n, counts, args.seed)
+        elif kind == "parseval":
+            frame = random_parseval_gframe(args.n, counts, args.seed)
+        else:
+            frame = nearly_parseval_gframe(args.n, counts, epsilon, args.seed)
+    return _write_frame(frame, _summary_lines(frame), args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -117,7 +114,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     frame = load_frame(args.path)
-    validate_frame(frame)
     report = run_suite(frame, suite=args.suite, trials=args.trials, seed=args.seed)
     if args.json:
         print(render_json(report_to_dict(report)))
@@ -138,14 +134,7 @@ def cmd_dual(args) -> int:
         f"dual_passed: {cert.passed}",
         f"distance_to_canonical: {float(distance_sq) ** 0.5!r}",
     ]
-    if args.out:
-        save_frame(dual, args.out)
-        lines.append(f"wrote: {args.out}")
-        print("\n".join(lines))
-    else:
-        print("\n".join(lines), file=sys.stderr)
-        print(render_json(frame_to_dict(dual)))
-    return EXIT_OK
+    return _write_frame(dual, lines, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,10 +189,7 @@ def main(argv=None) -> int:
     except NotAFrameError as exc:
         print(f"error: {exc} (lambda_min = {exc.lambda_min!r})", file=sys.stderr)
         return EXIT_NOT_A_FRAME
-    except (FrameFormatError, EpsilonOutOfRangeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GFrameError as exc:
+    except (GFrameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,40 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, PostconditionError
 from .identities import canonical_dual_gap, parseval_gap
-from .model import (
-    DUAL_TOLERANCE,
+from .model import (  # DualCertificate and verify_alternate_dual are re-exported here
+    DualCertificate,
     GFrame,
-    dual_residual,
     frame_operator,
-    require_matching_shapes,
     validate_frame,
+    verify_alternate_dual,
 )
 from .rng import complex_gaussian_blocks, stream
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Outcome of checking sum(adjoint(lam_i) @ gam_i) against the identity."""
-
-    residual: float
-    tolerance: float
-    passed: bool
-
-
-def verify_alternate_dual(lam: GFrame, gam: GFrame, tolerance: float | None = None) -> DualCertificate:
-    """Certificate for the dual equation; default tolerance scales with dim_h."""
-    require_matching_shapes(lam, gam)
-    residual = dual_residual(lam, gam)
-    if tolerance is None:
-        tolerance = DUAL_TOLERANCE * lam.dim_h
-    return DualCertificate(residual=residual, tolerance=float(tolerance), passed=residual <= tolerance)
 
 
 def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
@@ -49,7 +29,6 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     """
     if magnitude < 0:
         raise ValueError(f"magnitude must be non-negative, got {magnitude}")
-    validate_frame(lam)
     inv = frame_operator(lam).power(-1.0)
     t = lam.stacked
     blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
@@ -117,8 +96,8 @@ def extremal_frame(n: int, epsilon: float) -> GFrame:
     The frame operator is (1 - epsilon) * I, the rating is exactly epsilon,
     and both proximity bounds are attained with equality.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= epsilon < 1.0:
         raise EpsilonOutOfRangeError("epsilon must lie in [0,1)", epsilon=epsilon)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     return GFrame.from_stacked(sqrt(1.0 - epsilon) * np.eye(n), (1,) * n)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
-from .linalg import frobenius_norm
 from .model import GFrame, canonical_parseval, validate_frame
 from .rng import complex_gaussian_blocks, complex_gaussian_matrix, stream
 
@@ -61,20 +60,10 @@ def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:
 
 
 def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Orthonormalize a Gaussian matrix by modified Gram-Schmidt."""
-
-    def orthonormalize(a: np.ndarray) -> np.ndarray:
-        q = a.astype(np.complex128, copy=True)
-        for j in range(n):
-            for i in range(j):
-                q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-            q[:, j] /= np.linalg.norm(q[:, j])
-        return q
-
-    q = orthonormalize(complex_gaussian_matrix(gen, n, n))
-    if frobenius_norm(q.conj().T @ q - np.eye(n)) > 1e-10:
-        q = orthonormalize(q)
-    return q
+    """Orthonormalize a Gaussian matrix: its QR factor Q, with R's diagonal made positive."""
+    q, r = np.linalg.qr(complex_gaussian_matrix(gen, n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def nearly_parseval_gframe(n: int, counts, epsilon: float, seed: int) -> GFrame:

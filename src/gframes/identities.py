@@ -1,9 +1,11 @@
 """Executable equalities tying operator families to functions of their frame operator.
 
 Every operation returns the computed terms so callers can report residuals;
-pass/fail at a tolerance is the caller's job. Each operation also runs a
-cheap internal consistency check at a slightly looser tolerance and raises
-PostconditionError if the arithmetic went off the rails.
+pass/fail at a tolerance is the caller's job. Each operation also checks its
+own terms against each other and raises PostconditionError when they
+disagree. That check uses the same tolerance as the matching row of the
+verification report, so a drift shows there as an error row (lhs = rhs = 0,
+tolerance -1), never as a FAIL row carrying the values.
 """
 
 from __future__ import annotations
@@ -16,18 +18,18 @@ from .model import (
     DUAL_TOLERANCE,
     PARSEVAL_TOLERANCE,
     GFrame,
-    dual_residual,
     frame_operator,
     parseval_defect,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
+    verify_alternate_dual,
 )
 
 
 def require_parseval(g: GFrame, name: str = "frame") -> None:
     defect = parseval_defect(g)
-    if defect > PARSEVAL_TOLERANCE * g.dim_h:
+    if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
         raise NotParsevalError(
             f"{name} is not Parseval: ||S - I||_F = {defect:.3e} exceeds "
             f"{PARSEVAL_TOLERANCE:.0e} * n",
@@ -36,12 +38,12 @@ def require_parseval(g: GFrame, name: str = "frame") -> None:
 
 
 def require_alternate_dual(lam: GFrame, gam: GFrame) -> None:
-    residual = dual_residual(lam, gam)
-    if residual > DUAL_TOLERANCE * lam.dim_h:
+    cert = verify_alternate_dual(lam, gam)
+    if not cert.passed:
         raise NotADualError(
-            f"family is not an alternate dual: residual {residual:.3e} exceeds "
+            f"family is not an alternate dual: residual {cert.residual:.3e} exceeds "
             f"{DUAL_TOLERANCE:.0e} * n",
-            residual=residual,
+            residual=cert.residual,
         )
 
 
@@ -84,7 +86,6 @@ def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
     Returns (lhs, rhs) with lhs the sum of ||op @ S^a||_F^2 over the
     operators, i.e. ||T S^a||_F^2, and rhs the trace of S^(2a + 1).
     """
-    validate_frame(g)
     fo = frame_operator(g)
     lhs = frobenius_norm_sq(g.stacked @ fo.power(a))
     rhs = trace(fo.power(2.0 * a + 1.0)).real
@@ -126,7 +127,6 @@ def parseval_gap(lam: GFrame) -> float:
     Computed from the definition sum and cross-checked against the spectral
     closed form sum_k (sqrt(lambda_k) - 1)^2.
     """
-    validate_frame(lam)
     fo = frame_operator(lam)
     t = lam.stacked
     value = frobenius_norm_sq(t - t @ fo.power(-0.5))
@@ -142,7 +142,8 @@ def canonical_dual_gap(lam: GFrame) -> float:
     """Spectral form sum_k (lambda_k - 1)^2 / lambda_k of the distance to the canonical dual."""
     validate_frame(lam)
     lam_k = frame_operator(lam).eig.eigenvalues
-    return float(np.sum((lam_k - 1.0) ** 2 / lam_k))
+    # Dividing before multiplying keeps (lambda - 1)^2 from overflowing at large lambda.
+    return float(np.sum((lam_k - 1.0) * ((lam_k - 1.0) / lam_k)))
 
 
 def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, float, float]:
@@ -193,8 +194,7 @@ def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float
         abs(total - canonical - residual) <= 1e-7 * (1.0 + total),
         f"dual decomposition drifted: {total!r} vs {canonical!r} + {residual!r}",
     )
-    lam_k = fo.eig.eigenvalues
-    closed = float(np.sum((lam_k - 1.0) ** 2 / lam_k))
+    closed = canonical_dual_gap(lam)
     _check(
         abs(canonical - closed) <= 1e-8 * (1.0 + canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",

@@ -111,7 +111,8 @@ def hermitian_eig(m) -> HermitianEigen:
             )
 
     try:
-        w, vec = np.linalg.eigh(0.5 * (a + a.conj().T))
+        # Halving each term first keeps the sum finite for entries up to the double maximum.
+        w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")

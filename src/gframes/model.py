@@ -125,13 +125,14 @@ class GFrame:
 
 
 class FrameOperator:
-    """The matrix S of a frame; its eigendecomposition and powers are computed on first use."""
+    """The matrix S of a frame; its eigendecomposition, bounds and powers are computed on first use."""
 
-    __slots__ = ("matrix", "_eig", "_powers")
+    __slots__ = ("matrix", "_eig", "_bounds", "_powers")
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self._eig = None
+        self._bounds = None
         self._powers = {}
 
     @property
@@ -140,10 +141,29 @@ class FrameOperator:
             self._eig = hermitian_eig(self.matrix)
         return self._eig
 
+    @property
+    def bounds(self) -> FrameBounds:
+        """Optimal bounds of the frame, built once.
+
+        Raises NotAFrameError when lambda_min(S) <= RANK_TOLERANCE * lambda_max(S).
+        """
+        if self._bounds is None:
+            upper = float(self.eig.eigenvalues[0])
+            lower = float(self.eig.eigenvalues[-1])
+            if not lower > RANK_TOLERANCE * upper:
+                raise NotAFrameError(
+                    f"not a frame: lambda_min(S) = {lower:.6e} is at or below "
+                    f"{RANK_TOLERANCE:.0e} * lambda_max(S) = {RANK_TOLERANCE * upper:.6e}",
+                    lambda_min=lower,
+                )
+            self._bounds = FrameBounds(lower=lower, upper=upper, epsilon=max(1.0 - lower, upper - 1.0))
+        return self._bounds
+
     def power(self, a: float) -> np.ndarray:
-        """S^a (read-only), memoized per exponent; gates on positive definiteness."""
+        """S^a (read-only), memoized per exponent; raises NotAFrameError as `bounds` does."""
         cached = self._powers.get(a)
         if cached is None:
+            self.bounds  # the frame gate, ahead of the power's own
             cached = matrix_power_eig(self.eig, a)
             cached.setflags(write=False)
             self._powers[a] = cached
@@ -166,7 +186,8 @@ class FrameBounds:
 def frame_operator(f: GFrame) -> FrameOperator:
     """S = T* T as one product; cached per frame.
 
-    Raises FrameOverflowError when an entry of S exceeds the double range.
+    Raises FrameOverflowError when an entry of S, or its trace, exceeds the
+    double range.
     """
     cached = f._frame_op
     if cached is not None:
@@ -174,9 +195,11 @@ def frame_operator(f: GFrame) -> FrameOperator:
     t = f.stacked
     with np.errstate(over="ignore", invalid="ignore"):
         s = t.conj().T @ t
-    if not np.isfinite(s).all():
+        trace_s = np.trace(s).real
+    if not (np.isfinite(s).all() and np.isfinite(trace_s)):
+        what = "trace(S) = ||T||_F^2" if np.isfinite(s).all() else "S = T* T"
         raise FrameOverflowError(
-            f"frame is too large: S = T* T overflows double precision "
+            f"frame is too large: {what} overflows double precision "
             f"(largest operator entry modulus {float(np.max(np.abs(t))):.3e})"
         )
     s.setflags(write=False)
@@ -185,21 +208,11 @@ def frame_operator(f: GFrame) -> FrameOperator:
 
 
 def validate_frame(f: GFrame) -> FrameBounds:
-    """Certify the family as a frame and return its optimal bounds.
+    """Certify the family as a frame and return its optimal bounds (cached per frame).
 
     Raises NotAFrameError when lambda_min(S) <= RANK_TOLERANCE * lambda_max(S).
     """
-    eig = frame_operator(f).eig
-    upper = float(eig.eigenvalues[0])
-    lower = float(eig.eigenvalues[-1])
-    if not lower > RANK_TOLERANCE * upper:
-        raise NotAFrameError(
-            f"not a frame: lambda_min(S) = {lower:.6e} is at or below "
-            f"{RANK_TOLERANCE:.0e} * lambda_max(S) = {RANK_TOLERANCE * upper:.6e}",
-            lambda_min=lower,
-        )
-    epsilon = max(1.0 - lower, upper - 1.0)
-    return FrameBounds(lower=lower, upper=upper, epsilon=epsilon)
+    return frame_operator(f).bounds
 
 
 def parseval_defect(g: GFrame) -> float:
@@ -229,7 +242,6 @@ def canonical_parseval(f: GFrame) -> GFrame:
     Raises PostconditionError when the result misses ||S' - I||_F <=
     PARSEVAL_TOLERANCE * n; S' stays cached on the returned frame.
     """
-    validate_frame(f)
     g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), f.counts)
     defect = parseval_defect(g)
     if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
@@ -246,12 +258,11 @@ def canonical_dual(f: GFrame) -> GFrame:
     Raises PostconditionError when the result misses the dual equation by
     more than DUAL_TOLERANCE * n.
     """
-    validate_frame(f)
     d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
-    residual = dual_residual(f, d)
-    if not residual <= DUAL_TOLERANCE * f.dim_h:
+    cert = verify_alternate_dual(f, d)
+    if not cert.passed:
         raise PostconditionError(
-            f"canonical dual fails the dual equation: residual {residual:.3e} "
+            f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
             f"exceeds {DUAL_TOLERANCE:.0e} * n"
         )
     return d
@@ -259,7 +270,6 @@ def canonical_dual(f: GFrame) -> GFrame:
 
 def reconstruct(f: GFrame, x) -> np.ndarray:
     """Recover x as S^(-1) applied to the synthesis of the analysis coefficients."""
-    validate_frame(f)
     t = f.stacked
     return frame_operator(f).power(-1.0) @ (t.conj().T @ (t @ as_vector(x, f.dim_h, "x")))
 
@@ -288,3 +298,19 @@ def dual_residual(lam: GFrame, gam: GFrame) -> float:
     """Frobenius distance of sum(adjoint(lam_i) @ gam_i) from the identity."""
     require_matching_shapes(lam, gam)
     return frobenius_norm(lam.stacked.conj().T @ gam.stacked - np.eye(lam.dim_h))
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Outcome of checking sum(adjoint(lam_i) @ gam_i) against the identity."""
+
+    residual: float
+    tolerance: float
+    passed: bool
+
+
+def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:
+    """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h."""
+    residual = dual_residual(lam, gam)
+    tolerance = DUAL_TOLERANCE * lam.dim_h
+    return DualCertificate(residual=residual, tolerance=tolerance, passed=residual <= tolerance)

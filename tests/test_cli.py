@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gframes.cli import main
+from gframes.generators import nearly_parseval_gframe
 from gframes.io import save_frame
 from gframes.model import GFrame
 
@@ -137,6 +138,35 @@ class TestAnalyze:
         assert code == 2
         assert "frame is too large: S = T* T overflows double precision" in err
         assert "RuntimeWarning" not in err
+
+    def test_frame_operator_near_double_maximum(self, capsys, tmp_path):
+        # S = diag(1e308, 1e300, 1e300, 1e300): finite, condition number 1e8.
+        path = tmp_path / "top.json"
+        stacked = np.diag([1e154, 1e150, 1e150, 1e150])
+        save_frame(GFrame.from_stacked(stacked, (1, 1, 1, 1)), path)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert "RuntimeWarning" not in err
+        fields = parse_kv(out)
+        mu = np.linalg.eigvalsh(stacked.conj().T @ stacked)
+        assert float(fields["A"]) == mu[0]
+        assert float(fields["B"]) == mu[-1]
+
+    def test_overflowing_trace_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        save_frame(GFrame([1e154 * np.eye(4)]), path)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "frame is too large: trace(S) = ||T||_F^2 overflows double precision" in err
+        assert "RuntimeWarning" not in err
+
+    def test_large_frame_json_report_is_finite(self, capsys, tmp_path):
+        g = nearly_parseval_gframe(4, (2, 2, 2), 0.3, seed=5)
+        path = tmp_path / "large.json"
+        save_frame(GFrame.from_stacked(1e78 * g.stacked, g.counts), path)
+        code, out, err = run(capsys, "analyze", str(path), "--json")
+        assert code == 0, err
+        assert all(np.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
 
     def test_eigensolver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "onb.json"

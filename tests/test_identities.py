@@ -16,7 +16,12 @@ from gframes.identities import (
     power_trace_identity,
 )
 from gframes.duals import random_alternate_dual
-from gframes.generators import embed_vector_frame, random_gframe, random_parseval_gframe
+from gframes.generators import (
+    embed_vector_frame,
+    nearly_parseval_gframe,
+    random_gframe,
+    random_parseval_gframe,
+)
 from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator
 
 from conftest import random_complex
@@ -262,3 +267,15 @@ class TestVectorFrameEmbedding:
         expected = sum(np.outer(v, v.conj()) for v in vectors)
         s = frame_operator(f).matrix
         assert np.abs(s - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
+
+
+class TestCanonicalDualGapAtLargeScale:
+    """The spectral form sum (lambda - 1)^2 / lambda must not overflow while lambda is finite."""
+
+    @pytest.mark.parametrize("c", (1e78, 1e150))
+    def test_matches_eigvalsh_oracle(self, c):
+        g = nearly_parseval_gframe(4, (2, 2, 2), 0.3, seed=5)
+        f = GFrame.from_stacked(c * g.stacked, g.counts)
+        mu = np.linalg.eigvalsh(frame_operator(f).matrix)
+        oracle = float(np.sum(mu - 2.0 + 1.0 / mu))
+        assert canonical_dual_gap(f) == pytest.approx(oracle, rel=1e-12)

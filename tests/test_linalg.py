@@ -200,6 +200,15 @@ class TestHermitianEig:
             e = hermitian_eig(c * m)
         assert np.abs(e.eigenvalues / c - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_entries_near_double_maximum(self):
+        # 2 * 1e308 overflows, so symmetrizing as (M + M*) / 2 would turn the
+        # top entry into inf; halving each term first keeps it finite.
+        m = np.diag([1e308, 1e300, 1e300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = hermitian_eig(m)
+        assert np.array_equal(e.eigenvalues, np.linalg.eigvalsh(m)[::-1])
+
     @pytest.mark.parametrize("c", (1.0, 1e-180, 1e160, 1e300))
     def test_hermitian_check_decision_at_any_scale(self, rng, c):
         # M = c (H + t K) with K skew-Hermitian, so ||M - M*||_F = 2 c t ||K||_F

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gframes import model
-from gframes.errors import NotAFrameError, PostconditionError
+from gframes.errors import FrameOverflowError, NotAFrameError, PostconditionError
 from gframes.identities import parseval_frobenius_budget
 from gframes.linalg import frobenius_norm
 from gframes.model import (
@@ -355,3 +355,25 @@ class TestTransformPostconditions:
 
         monkeypatch.setattr(model, "hermitian_eig", refuse)
         assert abs(parseval_frobenius_budget(p) - 4.0) <= 1e-8 * 4
+
+
+class TestSingleFrameGate:
+    """The rank rule lives on FrameOperator.bounds; every frame path reads it there."""
+
+    def test_power_raises_the_frame_error(self):
+        f = GFrame([np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])])
+        with pytest.raises(NotAFrameError) as expected:
+            validate_frame(f)
+        with pytest.raises(NotAFrameError) as got:
+            frame_operator(f).power(-1.0)
+        assert str(got.value) == str(expected.value)
+        assert got.value.lambda_min == expected.value.lambda_min
+
+    def test_bounds_built_once(self):
+        f = random_gframe(3, (2, 2), seed=1)
+        assert validate_frame(f) is validate_frame(f)
+
+    def test_overflowing_trace_raises(self):
+        # S = 1e308 I is finite, but trace(S) = ||T||_F^2 = 4e308 is not.
+        with pytest.raises(FrameOverflowError, match=r"trace\(S\) = \|\|T\|\|_F\^2 overflows"):
+            frame_operator(GFrame([1e154 * np.eye(4)]))

@@ -6,6 +6,7 @@ import pytest
 
 from gframes.duals import extremal_frame
 from gframes.generators import nearly_parseval_gframe, random_gframe
+from gframes.model import GFrame
 from gframes.report import (
     _guard,
     at_least_check,
@@ -83,6 +84,17 @@ class TestRunSuite:
         r1 = run_suite(f, "all", trials=3, seed=11)
         r2 = run_suite(f, "all", trials=3, seed=11)
         assert render_json(report_to_dict(r1)) == render_json(report_to_dict(r2))
+
+
+    def test_pointwise_minimality_slack_scales_with_values(self):
+        # Scaled by 1e-8 the pointwise terms reach ~1e17; an absolute slack
+        # of 1e-9 fails valid frames on round-off alone.
+        g = nearly_parseval_gframe(6, (3, 3, 3), 0.3, seed=5)
+        f = GFrame.from_stacked(1e-8 * g.stacked, g.counts)
+        report = run_suite(f, "all", trials=4, seed=7)
+        rows = [c for c in report.checks if c.name.startswith("pointwise-dual-minimality")]
+        assert len(rows) == 4
+        assert all(c.passed for c in rows)
 
 
 class TestRendering:
