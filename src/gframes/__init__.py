@@ -40,7 +40,7 @@ from .model import (
     total_frobenius_energy,
     validate_frame,
 )
-from .io import frame_from_dict, frame_to_dict, load_frame, save_frame
+from .io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from .identities import (
     DUAL_TOLERANCE,
     PARSEVAL_TOLERANCE,

@@ -13,7 +13,7 @@ from .duals import extremal_frame, random_alternate_dual, verify_alternate_dual
 from .errors import GFrameError, NotAFrameError
 from .generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from .identities import canonical_dual_gap, parseval_gap
-from .io import load_frame, save_frame, frame_to_dict
+from .io import load_frame, save_frame, write_frame
 from .linalg import frobenius_norm_sq, trace
 from .model import GFrame, canonical_dual, frame_operator, total_frobenius_energy, validate_frame
 from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_text, report_to_dict, run_suite
@@ -54,7 +54,7 @@ def _write_frame(frame: GFrame, lines: list[str], out: str | None) -> int:
         print("\n".join(lines))
     else:
         print("\n".join(lines), file=sys.stderr)
-        print(render_json(frame_to_dict(frame)))
+        write_frame(frame, sys.stdout)
     return EXIT_OK
 
 

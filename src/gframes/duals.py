@@ -40,14 +40,15 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     return GFrame.from_stacked(t @ inv + deltas - t @ correction, lam.counts)
 
 
-def _require_epsilon(f: GFrame) -> tuple[float, int]:
+def _require_epsilon(f: GFrame) -> tuple[float, float, int]:
+    """(eps, 1 - eps, n); 1 - eps is min(A, 2 - B), exact where the subtraction would cancel."""
     bounds = validate_frame(f)
     eps = bounds.epsilon
     if eps >= 1.0:
         raise EpsilonOutOfRangeError(
             f"nearly-Parseval rating must be below 1, got epsilon = {eps!r}", epsilon=eps
         )
-    return eps, f.dim_h
+    return eps, min(bounds.lower, 2.0 - bounds.upper), f.dim_h
 
 
 def parseval_proximity_bound(g: GFrame) -> tuple[float, float]:
@@ -57,9 +58,9 @@ def parseval_proximity_bound(g: GFrame) -> tuple[float, float]:
     nearly-Parseval rating eps to be below 1. The bound uses the stable form
     eps / (1 + sqrt(1 - eps)) for 1 - sqrt(1 - eps).
     """
-    eps, n = _require_epsilon(g)
+    eps, margin, n = _require_epsilon(g)
     gap = parseval_gap(g)
-    shrink = eps / (1.0 + sqrt(1.0 - eps))
+    shrink = eps / (1.0 + sqrt(margin))
     stretch = eps / (sqrt(1.0 + eps) + 1.0)
     # The shrink side always dominates; the bound would be wrong otherwise.
     if max(shrink, stretch) != shrink:
@@ -80,9 +81,9 @@ def dual_proximity_bound(g: GFrame) -> tuple[float, float]:
     Returns (gap, bound) with gap the spectral form sum_k (lambda_k - 1)^2 /
     lambda_k and bound = n * eps^2 / (1 - eps); requires eps below 1.
     """
-    eps, n = _require_epsilon(g)
+    eps, margin, n = _require_epsilon(g)
     gap = canonical_dual_gap(g)
-    bound = n * eps * eps / (1.0 - eps) if eps > 0.0 else 0.0
+    bound = n * eps * eps / margin if eps > 0.0 else 0.0
     if gap > bound + 1e-9 * n:
         raise PostconditionError(
             f"dual proximity bound violated: gap {gap!r} exceeds bound {bound!r}"

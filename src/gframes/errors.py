@@ -16,7 +16,7 @@ class ConvergenceError(GFrameError):
 
 
 class FrameOverflowError(GFrameError):
-    """The frame operator S = T* T of the family overflows double precision."""
+    """The frame operator S = T* T of the family, or a power of S, overflows double precision."""
 
 
 class NotPositiveDefiniteError(GFrameError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotADualError, NotParsevalError, PostconditionError
+from .errors import FrameOverflowError, NotADualError, NotParsevalError, PostconditionError
 from .linalg import as_matrix, as_vector, frobenius_norm_sq, trace
 from .model import (
     DUAL_TOLERANCE,
@@ -84,11 +84,17 @@ def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
     """Two routes to the same number: energy of the S^a-weighted family vs a trace.
 
     Returns (lhs, rhs) with lhs the sum of ||op @ S^a||_F^2 over the
-    operators, i.e. ||T S^a||_F^2, and rhs the trace of S^(2a + 1).
+    operators, i.e. ||T S^a||_F^2, and rhs the trace of S^(2a + 1). Raises
+    FrameOverflowError when either side exceeds the double range.
     """
     fo = frame_operator(g)
-    lhs = frobenius_norm_sq(g.stacked @ fo.power(a))
-    rhs = trace(fo.power(2.0 * a + 1.0)).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = frobenius_norm_sq(g.stacked @ fo.power(a))
+        rhs = trace(fo.power(2.0 * a + 1.0)).real
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise FrameOverflowError(
+            f"frame is too large: the power-trace terms at a = {a} overflow double precision"
+        )
     _check(
         abs(lhs - rhs) <= 1e-8 * (1.0 + rhs),
         f"power-trace identity drifted: lhs {lhs!r} vs rhs {rhs!r} at a = {a}",

@@ -22,15 +22,15 @@ from .model import GFrame
 
 def frame_to_dict(f: GFrame) -> dict:
     operators = []
-    for op in f.operators:
-        entry = {"rows": op.shape[0], "re": op.real.tolist()}
-        if np.any(op.imag):
-            entry["im"] = op.imag.tolist()
+    for block in np.split(f.stacked, f.offsets[1:-1]):
+        entry = {"rows": block.shape[0], "re": block.real.tolist()}
+        if np.any(block.imag):
+            entry["im"] = block.imag.tolist()
         operators.append(entry)
     return {"dim_h": f.dim_h, "operators": operators}
 
 
-def _as_real_grid(value, rows: int, cols: int, where: str) -> np.ndarray:
+def _checked_rows(value, rows: int, cols: int, where: str) -> list:
     if not isinstance(value, list) or len(value) != rows:
         raise FrameFormatError(f"{where} must be a list of {rows} rows")
     # Shapes are checked before allocating, so a huge declared dim_h cannot
@@ -38,19 +38,17 @@ def _as_real_grid(value, rows: int, cols: int, where: str) -> np.ndarray:
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise FrameFormatError(f"{where} row {r} must be a list of {cols} numbers")
-    grid = np.zeros((rows, cols))
     for r, row in enumerate(value):
         for c, item in enumerate(row):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not a number")
             try:
-                value = float(item)
+                finite = math.isfinite(item)
             except OverflowError:  # an integer literal beyond the double range
                 raise FrameFormatError(f"{where}[{r}][{c}] is too large for a double") from None
-            if not math.isfinite(value):
+            if not finite:
                 raise FrameFormatError(f"{where}[{r}][{c}] is not finite")
-            grid[r, c] = value
-    return grid
+    return value
 
 
 def frame_from_dict(doc) -> GFrame:
@@ -62,7 +60,7 @@ def frame_from_dict(doc) -> GFrame:
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise FrameFormatError("operators must be a non-empty list")
-    operators = []
+    counts, re_rows, im_blocks = [], [], []
     for idx, entry in enumerate(raw_ops):
         where = f"operators[{idx}]"
         if not isinstance(entry, dict):
@@ -70,19 +68,25 @@ def frame_from_dict(doc) -> GFrame:
         rows = entry.get("rows")
         if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
             raise FrameFormatError(f"{where}.rows must be a positive integer")
-        re = _as_real_grid(entry.get("re"), rows, dim_h, f"{where}.re")
+        re_rows += _checked_rows(entry.get("re"), rows, dim_h, f"{where}.re")
         if "im" in entry:
-            im = _as_real_grid(entry.get("im"), rows, dim_h, f"{where}.im")
-        else:
-            im = np.zeros((rows, dim_h))
-        operators.append(re + 1j * im)
-    return GFrame(operators, dim_h=dim_h)
+            im = _checked_rows(entry.get("im"), rows, dim_h, f"{where}.im")
+            im_blocks.append((len(re_rows) - rows, im))
+        counts.append(rows)
+    t = np.array(re_rows, dtype=np.float64).astype(np.complex128)
+    for start, im in im_blocks:
+        t.imag[start : start + len(im)] = np.array(im, dtype=np.float64)
+    return GFrame.from_stacked(t, counts)
+
+
+def write_frame(f: GFrame, fh) -> None:
+    json.dump(frame_to_dict(f), fh, indent=2)
+    fh.write("\n")
 
 
 def save_frame(f: GFrame, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_to_dict(f), fh, indent=2)
-        fh.write("\n")
+        write_frame(f, fh)
 
 
 def load_frame(path) -> GFrame:

@@ -39,7 +39,7 @@ class GFrame:
     views of those blocks.
     """
 
-    __slots__ = ("_stacked", "_counts", "_offsets", "_operators", "_frame_op")
+    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op")
 
     def __init__(self, operators, dim_h: int | None = None):
         blocks = []
@@ -88,7 +88,6 @@ class GFrame:
         self._stacked = t
         self._counts = counts
         self._offsets = offsets
-        self._operators = None
         self._frame_op = None
 
     @property
@@ -107,10 +106,7 @@ class GFrame:
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
-        if self._operators is None:
-            t, off = self._stacked, self._offsets
-            self._operators = tuple(t[off[i] : off[i + 1]] for i in range(len(self._counts)))
-        return self._operators
+        return tuple(np.split(self._stacked, self._offsets[1:-1]))
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -160,11 +156,17 @@ class FrameOperator:
         return self._bounds
 
     def power(self, a: float) -> np.ndarray:
-        """S^a (read-only), memoized per exponent; raises NotAFrameError as `bounds` does."""
+        """S^a (read-only), memoized per exponent; raises NotAFrameError as `bounds` does.
+
+        Raises FrameOverflowError when an entry of S^a exceeds the double range.
+        """
         cached = self._powers.get(a)
         if cached is None:
             self.bounds  # the frame gate, ahead of the power's own
-            cached = matrix_power_eig(self.eig, a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cached = matrix_power_eig(self.eig, a)
+            if not np.isfinite(cached).all():
+                raise FrameOverflowError(f"frame is too large: S^{a!r} overflows double precision")
             cached.setflags(write=False)
             self._powers[a] = cached
         return cached

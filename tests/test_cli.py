@@ -317,3 +317,48 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestGenArguments:
+    def test_counts_must_be_integers(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--n", "2", "--counts", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: counts must be comma-separated integers, got '1,x'\n"
+
+    def test_nearly_parseval_needs_epsilon(self, capsys):
+        code, _, err = run(capsys, "gen", "nearly-parseval", "--n", "2")
+        assert code == 2
+        assert err == "error: nearly-parseval needs --epsilon\n"
+
+    def test_random_needs_n(self, capsys):
+        code, _, err = run(capsys, "gen", "random")
+        assert code == 2
+        assert err == "error: random needs --n\n"
+
+    def test_extremal_epsilon_defaults_to_zero(self, capsys):
+        code, out, err = run(capsys, "gen", "extremal", "--n", "2")
+        assert code == 0
+        assert parse_kv(err)["epsilon"] == "0.0"
+        assert json.loads(out)["dim_h"] == 2
+
+    def test_verify_rejects_negative_trials(self, capsys, tmp_path):
+        path = tmp_path / "e.json"
+        run(capsys, "gen", "extremal", "--n", "2", "--epsilon", "0.1", "-o", str(path))
+        code, out, err = run(capsys, "verify", str(path), "--trials", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "gen_args",
+    [
+        ["gen", "nearly-parseval", "--n", "6", "--counts", "3,3,3", "--epsilon", "0.3", "--seed", "5"],
+        ["gen", "random", "--n", "4", "--seed", "3"],
+    ],
+)
+def test_frame_on_stdout_equals_written_file(gen_args, capsys, tmp_path):
+    path = tmp_path / "f.json"
+    assert run(capsys, *gen_args, "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, *gen_args)
+    assert code == 0
+    assert out == path.read_text(encoding="utf-8")

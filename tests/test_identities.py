@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gframes.errors import NotADualError, NotAFrameError, NotParsevalError
+from gframes.errors import FrameOverflowError, NotADualError, NotAFrameError, NotParsevalError
 from gframes.linalg import frobenius_norm_sq
 from gframes.identities import (
     canonical_dual_gap,
@@ -279,3 +279,20 @@ class TestCanonicalDualGapAtLargeScale:
         mu = np.linalg.eigvalsh(frame_operator(f).matrix)
         oracle = float(np.sum(mu - 2.0 + 1.0 / mu))
         assert canonical_dual_gap(f) == pytest.approx(oracle, rel=1e-12)
+
+
+class TestPowerTraceOverflow:
+    """Terms beyond the double range raise FrameOverflowError instead of leaking inf or warnings."""
+
+    def test_overflowing_trace_names_the_exponent(self):
+        # At entry scale 1e77, S^2 is finite but its trace is not.
+        g = nearly_parseval_gframe(8, (3, 3, 3, 3), 0.3, seed=5)
+        f = GFrame.from_stacked(1e77 * g.stacked, g.counts)
+        with pytest.raises(FrameOverflowError, match=r"a = 0\.5"):
+            power_trace_identity(f, 0.5)
+
+    def test_finite_exponents_still_agree(self):
+        g = nearly_parseval_gframe(8, (3, 3, 3, 3), 0.3, seed=5)
+        f = GFrame.from_stacked(1e77 * g.stacked, g.counts)
+        lhs, rhs = power_trace_identity(f, -0.5)
+        assert lhs == pytest.approx(rhs, rel=1e-8)

@@ -84,3 +84,59 @@ def test_document_is_plain_json(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"dim_h", "operators"}
     assert doc["operators"][0]["rows"] == 2
+
+
+def two_column_doc(*operators):
+    return {"dim_h": 2, "operators": list(operators)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "frame document must be a JSON object"),
+        ({"dim_h": True, "operators": []}, "dim_h must be a positive integer"),
+        ({"dim_h": 2, "operators": {}}, "operators must be a non-empty list"),
+        (two_column_doc({"rows": 1, "re": [[1.0, 0.0]]}, [[0.0, 1.0]]), "operators[1] must be an object"),
+        (two_column_doc({"rows": 0, "re": []}), "operators[0].rows must be a positive integer"),
+        (two_column_doc({"rows": True, "re": [[1.0, 0.0]]}), "operators[0].rows must be a positive integer"),
+        (two_column_doc({"rows": "1", "re": [[1.0, 0.0]]}), "operators[0].rows must be a positive integer"),
+        (two_column_doc({"rows": 1, "re": [[1.0, 0.0], 3]}), "operators[0].re must be a list of 1 rows"),
+        (two_column_doc({"rows": 1, "re": [[1.0, True]]}), "operators[0].re[0][1] is not a number"),
+        (
+            two_column_doc({"rows": 1, "re": [[1.0, 0.0]], "im": None}),
+            "operators[0].im must be a list of 1 rows",
+        ),
+        (
+            two_column_doc({"rows": 1, "re": [[1.0, 0.0]], "im": [[0.0, float("nan")]]}),
+            "operators[0].im[0][1] is not finite",
+        ),
+        # The first bad entry in document order wins, across parts and operators.
+        (two_column_doc({"rows": 1, "re": [[float("inf"), "x"]]}), "operators[0].re[0][0] is not finite"),
+        (two_column_doc({"rows": 1, "re": [["x", 10**400]]}), "operators[0].re[0][0] is not a number"),
+        (
+            two_column_doc({"rows": 1, "re": [[1.0, 0.0]], "im": [["y", 0]]}, {"rows": 1, "re": [[1.0]]}),
+            "operators[0].im[0][0] is not a number",
+        ),
+        (
+            two_column_doc({"rows": 1, "re": [[1.0]]}, {"rows": 1, "re": [["x", 0.0]]}),
+            "operators[0].re row 0 must be a list of 2 numbers",
+        ),
+    ],
+)
+def test_rejects_malformed_with_message(doc, message):
+    with pytest.raises(FrameFormatError) as exc:
+        frame_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_entry_beyond_double_range_is_not_finite():
+    doc = json.loads('{"dim_h": 2, "operators": [{"rows": 1, "re": [[1.0, 1e999]]}]}')
+    with pytest.raises(FrameFormatError, match=r"^operators\[0\]\.re\[0\]\[1\] is not finite$"):
+        frame_from_dict(doc)
+
+
+def test_integer_entries_load_as_float():
+    f = frame_from_dict(two_column_doc({"rows": 1, "re": [[2**70, -3]], "im": [[0, 5]]}))
+    assert f.stacked.dtype == np.complex128
+    assert f.stacked[0, 0] == complex(float(2**70), 0.0)
+    assert f.stacked[0, 1] == complex(-3.0, 5.0)

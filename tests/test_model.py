@@ -377,3 +377,13 @@ class TestSingleFrameGate:
         # S = 1e308 I is finite, but trace(S) = ||T||_F^2 = 4e308 is not.
         with pytest.raises(FrameOverflowError, match=r"trace\(S\) = \|\|T\|\|_F\^2 overflows"):
             frame_operator(GFrame([1e154 * np.eye(4)]))
+
+
+class TestPowerOverflow:
+    def test_overflowing_power_raises_and_is_not_memoized(self):
+        # S = 1e120 I is finite; S^3 = 1e360 I is not.
+        fo = frame_operator(GFrame([1e60 * np.eye(2)]))
+        for _ in range(2):
+            with pytest.raises(FrameOverflowError, match=r"S\^3\.0 overflows"):
+                fo.power(3.0)
+        assert np.allclose(fo.power(-1.0), 1e-120 * np.eye(2), rtol=1e-15, atol=0.0)

@@ -1,11 +1,13 @@
 """Verification suites and report rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gframes.duals import extremal_frame
 from gframes.generators import nearly_parseval_gframe, random_gframe
+from gframes.io import load_frame
 from gframes.model import GFrame
 from gframes.report import (
     _guard,
@@ -17,6 +19,13 @@ from gframes.report import (
     report_to_dict,
     run_suite,
 )
+
+GOLDEN_NEARLY_PARSEVAL = Path(__file__).parent / "data" / "golden" / "nearly-parseval.frame.json"
+
+
+def scaled_golden_frame(c):
+    g = load_frame(GOLDEN_NEARLY_PARSEVAL)
+    return GFrame.from_stacked(c * g.stacked, g.counts)
 
 
 class TestChecks:
@@ -95,6 +104,26 @@ class TestRunSuite:
         rows = [c for c in report.checks if c.name.startswith("pointwise-dual-minimality")]
         assert len(rows) == 4
         assert all(c.passed for c in rows)
+
+    def test_proximity_bounds_hold_at_small_scale(self):
+        # Scaled by 1e-8, lambda_min = 7e-17 and epsilon = 1 - 7e-17: 1 - epsilon
+        # formed by subtraction keeps no correct digit.
+        report = run_suite(scaled_golden_frame(1e-8), "all", trials=4, seed=7)
+        rows = [c for c in report.checks if "proximity-bound" in c.name]
+        assert [c.name for c in rows] == ["parseval-proximity-bound", "dual-proximity-bound"]
+        assert all(c.passed for c in rows)
+        assert report.overall, [c.name for c in report.checks if not c.passed]
+
+    @pytest.mark.parametrize("c", (1e60, 1e77, 1e100, 1e150))
+    def test_power_trace_overflow_is_a_named_error(self, c):
+        # Run under the suite's error::RuntimeWarning filter: a leaked numpy
+        # warning would surface as an error row or fail the test.
+        report = run_suite(scaled_golden_frame(c), "all", trials=4, seed=7)
+        rows = [r.name for r in report.checks if r.name.startswith("power-trace")]
+        errors = [name for name in rows if "[error:" in name]
+        assert errors
+        assert all("[error: FrameOverflowError: " in name for name in errors), errors
+        assert not any("RuntimeWarning" in r.name for r in report.checks)
 
 
 class TestRendering:
