@@ -26,6 +26,8 @@ from .linalg import (
     trace,
 )
 from .model import (
+    DUAL_TOLERANCE,
+    PARSEVAL_TOLERANCE,
     FrameBounds,
     FrameOperator,
     GFrame,
@@ -35,6 +37,7 @@ from .model import (
     dual_residual,
     frame_operator,
     matching_shapes,
+    parseval_defect,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,
@@ -42,12 +45,9 @@ from .model import (
 )
 from .io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from .identities import (
-    DUAL_TOLERANCE,
-    PARSEVAL_TOLERANCE,
     canonical_dual_gap,
     frobenius_dual_decomposition,
     parseval_approx_decomposition,
-    parseval_defect,
     parseval_frobenius_budget,
     parseval_gap,
     parseval_weighted_energy,

@@ -29,8 +29,6 @@ def _parse_counts(text: str) -> tuple[int, ...]:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"counts must be comma-separated integers, got {text!r}")
-    if not counts:
-        raise ValueError("counts must not be empty")
     return counts
 
 
@@ -189,7 +187,7 @@ def main(argv=None) -> int:
     except NotAFrameError as exc:
         print(f"error: {exc} (lambda_min = {exc.lambda_min!r})", file=sys.stderr)
         return EXIT_NOT_A_FRAME
-    except (GFrameError, ValueError, OSError) as exc:
+    except (GFrameError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import EpsilonOutOfRangeError, PostconditionError
-from .identities import canonical_dual_gap, parseval_gap
+from .errors import EpsilonOutOfRangeError, FrameOverflowError, PostconditionError
+from .identities import canonical_dual_gap, parseval_gap, require_alternate_dual
 from .model import (  # DualCertificate and verify_alternate_dual are re-exported here
     DualCertificate,
     GFrame,
+    canonical_dual,
     frame_operator,
     validate_frame,
     verify_alternate_dual,
@@ -26,18 +27,31 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     delta_i are seeded Gaussian blocks rescaled to Frobenius norm `magnitude`.
     The projection annihilates sum(adjoint(lam_i) theta_i), so the dual
     equation survives any magnitude; magnitude 0 returns the canonical dual.
+    Raises FrameOverflowError when the perturbation overflows, and
+    NotADualError when round-off at a huge magnitude breaks the equation.
     """
+    if not isfinite(magnitude):
+        raise ValueError(f"magnitude must be finite, got {magnitude}")
     if magnitude < 0:
         raise ValueError(f"magnitude must be non-negative, got {magnitude}")
+    canonical = canonical_dual(lam).stacked
     inv = frame_operator(lam).power(-1.0)
     t = lam.stacked
     blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
     row_sq = np.sum(blocks.real**2 + blocks.imag**2, axis=1)
     norms = np.sqrt(np.add.reduceat(row_sq, lam.offsets[:-1]))
-    scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
-    deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
-    correction = inv @ (t.conj().T @ deltas)
-    return GFrame.from_stacked(t @ inv + deltas - t @ correction, lam.counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
+        deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
+        correction = inv @ (t.conj().T @ deltas)
+        stacked = canonical + deltas - t @ correction
+    if not np.isfinite(stacked).all():
+        raise FrameOverflowError(
+            f"dual perturbation at magnitude {magnitude!r} overflows double precision"
+        )
+    dual = GFrame.from_stacked(stacked, lam.counts)
+    require_alternate_dual(lam, dual)
+    return dual
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

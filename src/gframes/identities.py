@@ -18,6 +18,8 @@ from .model import (
     DUAL_TOLERANCE,
     PARSEVAL_TOLERANCE,
     GFrame,
+    canonical_dual,
+    canonical_parseval,
     frame_operator,
     parseval_defect,
     require_matching_shapes,
@@ -118,7 +120,7 @@ def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, floa
     fo = frame_operator(lam)
     a, b = lam.stacked, gam.stacked
     total = frobenius_norm_sq(a - b)
-    canonical_gap = frobenius_norm_sq(a - a @ fo.power(-0.5))
+    canonical_gap = frobenius_norm_sq(a - canonical_parseval(lam).stacked)
     cross_term = frobenius_norm_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
     _check(
         abs(total - canonical_gap - cross_term) <= 1e-7 * (1.0 + total),
@@ -133,10 +135,8 @@ def parseval_gap(lam: GFrame) -> float:
     Computed from the definition sum and cross-checked against the spectral
     closed form sum_k (sqrt(lambda_k) - 1)^2.
     """
-    fo = frame_operator(lam)
-    t = lam.stacked
-    value = frobenius_norm_sq(t - t @ fo.power(-0.5))
-    closed = float(np.sum((np.sqrt(fo.eig.eigenvalues) - 1.0) ** 2))
+    value = frobenius_norm_sq(lam.stacked - canonical_parseval(lam).stacked)
+    closed = float(np.sum((np.sqrt(frame_operator(lam).eig.eigenvalues) - 1.0) ** 2))
     _check(
         abs(value - closed) <= 1e-8 * (1.0 + value),
         f"gap paths disagree: definition {value!r} vs spectral {closed!r}",
@@ -190,9 +190,8 @@ def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float
     """
     validate_frame(lam)
     require_alternate_dual(lam, gam)
-    fo = frame_operator(lam)
     a, b = lam.stacked, gam.stacked
-    c = a @ fo.power(-1.0)
+    c = canonical_dual(lam).stacked
     total = frobenius_norm_sq(a - b)
     canonical = frobenius_norm_sq(a - c)
     residual = frobenius_norm_sq(c - b)

@@ -36,10 +36,10 @@ class GFrame:
 
     The operators live, in order, as the row blocks of one read-only K x n
     array, the analysis operator T (`stacked`); `operators` are read-only
-    views of those blocks.
+    views of those blocks. S and both canonical families are memoized.
     """
 
-    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op")
+    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual")
 
     def __init__(self, operators, dim_h: int | None = None):
         blocks = []
@@ -88,7 +88,7 @@ class GFrame:
         self._stacked = t
         self._counts = counts
         self._offsets = offsets
-        self._frame_op = None
+        self._frame_op = self._parseval = self._dual = None
 
     @property
     def dim_h(self) -> int:
@@ -244,14 +244,16 @@ def canonical_parseval(f: GFrame) -> GFrame:
     Raises PostconditionError when the result misses ||S' - I||_F <=
     PARSEVAL_TOLERANCE * n; S' stays cached on the returned frame.
     """
-    g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), f.counts)
-    defect = parseval_defect(g)
-    if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
-        raise PostconditionError(
-            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defect:.3e} "
-            f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
-        )
-    return g
+    if f._parseval is None:
+        g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), f.counts)
+        defect = parseval_defect(g)
+        if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
+            raise PostconditionError(
+                f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defect:.3e} "
+                f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
+            )
+        f._parseval = g
+    return f._parseval
 
 
 def canonical_dual(f: GFrame) -> GFrame:
@@ -260,14 +262,16 @@ def canonical_dual(f: GFrame) -> GFrame:
     Raises PostconditionError when the result misses the dual equation by
     more than DUAL_TOLERANCE * n.
     """
-    d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
-    cert = verify_alternate_dual(f, d)
-    if not cert.passed:
-        raise PostconditionError(
-            f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
-            f"exceeds {DUAL_TOLERANCE:.0e} * n"
-        )
-    return d
+    if f._dual is None:
+        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
+        cert = verify_alternate_dual(f, d)
+        if not cert.passed:
+            raise PostconditionError(
+                f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
+                f"exceeds {DUAL_TOLERANCE:.0e} * n"
+            )
+        f._dual = d
+    return f._dual
 
 
 def reconstruct(f: GFrame, x) -> np.ndarray:
@@ -297,9 +301,12 @@ def require_matching_shapes(a: GFrame, b: GFrame) -> None:
 
 
 def dual_residual(lam: GFrame, gam: GFrame) -> float:
-    """Frobenius distance of sum(adjoint(lam_i) @ gam_i) from the identity."""
+    """Frobenius distance of sum(adjoint(lam_i) @ gam_i) from the identity; inf if it overflows."""
     require_matching_shapes(lam, gam)
-    return frobenius_norm(lam.stacked.conj().T @ gam.stacked - np.eye(lam.dim_h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = lam.stacked.conj().T @ gam.stacked - np.eye(lam.dim_h)
+        # An overflowing product holds inf, and nan where inf meets 0.
+        return frobenius_norm(gap) if np.isfinite(gap).all() else np.inf
 
 
 @dataclass(frozen=True)

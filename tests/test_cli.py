@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gframes.cli import main
 from gframes.generators import nearly_parseval_gframe
 from gframes.io import save_frame
 from gframes.model import GFrame
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -307,6 +310,24 @@ class TestDual:
         code, _, _ = run(capsys, "dual", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
+    def test_overflowing_magnitude_exits_2(self, name, capsys, tmp_path):
+        out_path = tmp_path / "d.json"
+        code, out, err = run(capsys, "dual", str(GOLDEN / f"{name}.frame.json"),
+                             "--magnitude", "1e308", "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("magnitude", ["inf", "nan"])
+    def test_non_finite_magnitude_exits_2(self, magnitude, capsys, tmp_path):
+        out_path = tmp_path / "d.json"
+        code, out, err = run(capsys, "dual", str(GOLDEN / "nearly-parseval.frame.json"),
+                             "--magnitude", magnitude, "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: magnitude must be finite, got {magnitude}\n"
+        assert not out_path.exists()
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
@@ -340,6 +361,12 @@ class TestGenArguments:
         assert code == 0
         assert parse_kv(err)["epsilon"] == "0.0"
         assert json.loads(out)["dim_h"] == 2
+
+    def test_oversized_n_exits_2(self, capsys):
+        # The n x n identity would take 6.94 EiB; numpy refuses the allocation at once.
+        code, out, err = run(capsys, "gen", "extremal", "--n", "1000000000", "--epsilon", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate")
 
     def test_verify_rejects_negative_trials(self, capsys, tmp_path):
         path = tmp_path / "e.json"

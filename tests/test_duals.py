@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gframes.errors import EpsilonOutOfRangeError, NotAFrameError
+from gframes.errors import EpsilonOutOfRangeError, FrameOverflowError, NotADualError, NotAFrameError
 from gframes.duals import (
     dual_proximity_bound,
     extremal_frame,
@@ -93,6 +93,24 @@ class TestRandomAlternateDual:
         f = GFrame([np.array([[1.0, 0.0]])])
         with pytest.raises(NotAFrameError):
             random_alternate_dual(f, magnitude=1.0, seed=18)
+
+    @pytest.mark.parametrize("magnitude", [float("inf"), float("nan")])
+    def test_rejects_non_finite_magnitude(self, magnitude):
+        lam = random_gframe(3, (2, 2), seed=16)
+        with pytest.raises(ValueError, match=f"magnitude must be finite, got {magnitude}"):
+            random_alternate_dual(lam, magnitude=magnitude, seed=17)
+
+    def test_overflowing_perturbation_is_named(self):
+        # Each perturbation block has norm 1e308, which is finite; its products with T are not.
+        lam = random_gframe(4, (1,) * 8, seed=3)
+        with pytest.raises(FrameOverflowError, match="magnitude 1e\\+308"):
+            random_alternate_dual(lam, magnitude=1e308, seed=0)
+
+    def test_output_that_misses_the_dual_equation_raises(self):
+        # T is square, so the projection cancels the 1e308 blocks down to round-off near
+        # 1e291: finite entries, far from a dual.
+        with pytest.raises(NotADualError, match="not an alternate dual"):
+            random_alternate_dual(extremal_frame(4, 0.25), magnitude=1e308, seed=0)
 
 
 class TestParsevalProximityBound:

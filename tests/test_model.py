@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gframes import model
+from gframes.duals import random_alternate_dual
 from gframes.errors import FrameOverflowError, NotAFrameError, PostconditionError
-from gframes.identities import parseval_frobenius_budget
+from gframes.identities import (
+    frobenius_dual_decomposition,
+    parseval_approx_decomposition,
+    parseval_frobenius_budget,
+    parseval_gap,
+)
 from gframes.linalg import frobenius_norm
 from gframes.model import (
     GFrame,
@@ -347,6 +353,26 @@ class TestTransformPostconditions:
         with pytest.raises(PostconditionError, match="fails the dual equation"):
             canonical_dual(random_gframe(4, (2, 3), seed=7))
 
+    @pytest.mark.parametrize(
+        "consumer, message",
+        [
+            (lambda f, p, d: parseval_gap(f), "is not Parseval"),
+            (lambda f, p, d: parseval_approx_decomposition(f, p), "is not Parseval"),
+            (lambda f, p, d: frobenius_dual_decomposition(f, d), "fails the dual equation"),
+            (lambda f, p, d: random_alternate_dual(f, magnitude=1.0, seed=3), "fails the dual equation"),
+        ],
+        ids=["parseval_gap", "parseval_approx_decomposition", "frobenius_dual_decomposition",
+             "random_alternate_dual"],
+    )
+    def test_consumers_read_the_checked_family(self, consumer, message, perturbed_powers):
+        f = random_gframe(4, (2, 3), seed=7)
+        # A Parseval family and an alternate dual built with numpy alone, not from powers of S.
+        t = f.stacked
+        parseval = GFrame.from_stacked(np.linalg.qr(t)[0], f.counts)
+        dual = GFrame.from_stacked(t @ np.linalg.inv(t.conj().T @ t), f.counts)
+        with pytest.raises(PostconditionError, match=message):
+            consumer(f, parseval, dual)
+
     def test_parseval_check_needs_no_eigendecomposition(self, monkeypatch):
         p = canonical_parseval(random_gframe(4, (2, 3), seed=7))
 
@@ -387,3 +413,30 @@ class TestPowerOverflow:
             with pytest.raises(FrameOverflowError, match=r"S\^3\.0 overflows"):
                 fo.power(3.0)
         assert np.allclose(fo.power(-1.0), 1e-120 * np.eye(2), rtol=1e-15, atol=0.0)
+
+
+class TestCanonicalMemo:
+    """Each canonical family is built and checked once per frame; its consumers read that one."""
+
+    def test_built_once_per_frame(self):
+        f = random_gframe(4, (2, 3), seed=7)
+        assert canonical_parseval(f) is canonical_parseval(f)
+        assert canonical_dual(f) is canonical_dual(f)
+
+    def test_consumers_leave_the_memo_unchanged(self):
+        f = random_gframe(4, (2, 3), seed=7)
+        p, d = canonical_parseval(f), canonical_dual(f)
+        p_entries, d_entries = p.stacked.copy(), d.stacked.copy()
+        parseval_gap(f)
+        parseval_approx_decomposition(f, random_parseval_gframe(4, (2, 3), seed=8))
+        frobenius_dual_decomposition(f, random_alternate_dual(f, magnitude=1.0, seed=9))
+        assert canonical_parseval(f) is p
+        assert canonical_dual(f) is d
+        assert np.array_equal(p.stacked, p_entries)
+        assert np.array_equal(d.stacked, d_entries)
+
+
+def test_dual_residual_overflow_is_inf():
+    # sum adjoint(lam_i) gam_i = 1e400 I is beyond the double range.
+    lam = GFrame([1e200 * np.eye(2)])
+    assert dual_residual(lam, lam) == math.inf
