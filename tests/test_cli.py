@@ -114,6 +114,21 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_deeply_nested_document_exits_2(self, command, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: JSON in {path} is nested too deeply to read\n"
+
+    def test_invalid_utf8_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dim_h": 1, "note": "caf\xe9"}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
     def test_huge_dim_h_exits_2_without_allocating(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"dim_h": 1000000000000, "operators": [{"rows": 1, "re": [[1.0]]}]}')

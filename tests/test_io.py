@@ -1,12 +1,17 @@
 """Frame interchange format: round trips, schema validation, optional imaginary part."""
 
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gframes.errors import FrameFormatError
-from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame
+from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from gframes.generators import random_gframe
 from gframes.model import GFrame
 
@@ -140,3 +145,93 @@ def test_integer_entries_load_as_float():
     assert f.stacked.dtype == np.complex128
     assert f.stacked[0, 0] == complex(float(2**70), 0.0)
     assert f.stacked[0, 1] == complex(-3.0, 5.0)
+
+
+# Finite doubles, with the cases repr and json could format differently made likely.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def frames(draw, max_operators=300):
+    """Frames mixing one-row and multi-row operators, each either real or complex."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    size = draw(st.integers(min_value=1, max_value=max_operators))
+    counts = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=size, max_size=size))
+    shape = (sum(counts), n)
+    t = draw(arrays(np.float64, shape, elements=ENTRIES)).astype(np.complex128)
+    t.imag = draw(arrays(np.float64, shape, elements=ENTRIES))
+    row = 0
+    for k in counts:
+        if draw(st.booleans()):
+            t.imag[row : row + k] = 0.0
+        row += k
+    return GFrame.from_stacked(t, counts)
+
+
+@settings(deadline=None, max_examples=30)
+@given(f=frames())
+def test_write_frame_is_json_dump_text(f):
+    doc = frame_to_dict(f)
+    assert ["im" in entry for entry in doc["operators"]] == [bool(np.any(op.imag)) for op in f.operators]
+    buf = io.StringIO()
+    write_frame(f, buf)
+    got = buf.getvalue().split("\n")
+    want = (json.dumps(doc, indent=2) + "\n").split("\n")
+    # Line by line: pytest's diff of two long strings takes minutes per shrink step.
+    for number, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {number}"
+    assert len(got) == len(want)
+
+
+BAD_ENTRIES = [
+    ("x", "is not a number"),
+    (True, "is not a number"),
+    (None, "is not a number"),
+    (math.nan, "is not finite"),
+    (math.inf, "is not finite"),
+    (10**400, "is too large for a double"),
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(f=frames(max_operators=8), data=st.data())
+def test_first_bad_entry_is_named(f, data):
+    doc = frame_to_dict(f)
+    idx = data.draw(st.integers(min_value=0, max_value=len(f) - 1))
+    entry = doc["operators"][idx]
+    part = data.draw(st.sampled_from([p for p in ("re", "im") if p in entry]))
+    r = data.draw(st.integers(min_value=0, max_value=entry["rows"] - 1))
+    c = data.draw(st.integers(min_value=0, max_value=doc["dim_h"] - 1))
+    bad, complaint = data.draw(st.sampled_from(BAD_ENTRIES))
+    entry[part][r][c] = bad
+    with pytest.raises(FrameFormatError) as exc:
+        frame_from_dict(doc)
+    assert str(exc.value) == f"operators[{idx}].{part}[{r}][{c}] {complaint}"
+
+
+def reference_stacked(doc):
+    """T read from a document entry by entry, each entry as float(x)."""
+    rows = []
+    for entry in doc["operators"]:
+        im = entry.get("im", [[0.0] * doc["dim_h"]] * entry["rows"])
+        for re_row, im_row in zip(entry["re"], im):
+            rows.append([complex(float(a), float(b)) for a, b in zip(re_row, im_row)])
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=40)
+@given(f=frames(max_operators=8), data=st.data())
+def test_int_and_float64_entries_load_exactly(f, data):
+    # np.float64 is a float subclass and int is not a float, so rows holding
+    # either are checked entry by entry and must still load their values.
+    doc = frame_to_dict(f)
+    as_int = st.integers(min_value=-(2**70), max_value=2**70)
+    for entry in doc["operators"]:
+        for part in ("re", "im"):
+            for row in entry.get(part, []):
+                for c, x in enumerate(row):
+                    row[c] = data.draw(st.one_of(st.just(x), st.just(np.float64(x)), as_int))
+    assert np.array_equal(frame_from_dict(doc).stacked, reference_stacked(doc))

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from gframes import duals, identities, report
+from gframes.cli import main
 from gframes.duals import extremal_frame
+from gframes.errors import PostconditionError
 from gframes.generators import nearly_parseval_gframe, random_gframe
 from gframes.io import load_frame
 from gframes.model import GFrame
@@ -124,6 +127,48 @@ class TestRunSuite:
         assert errors
         assert all("[error: FrameOverflowError: " in name for name in errors), errors
         assert not any("RuntimeWarning" in r.name for r in report.checks)
+
+
+def fail_canonical_dual(monkeypatch):
+    """Make every consumer's canonical_dual miss its postcondition."""
+
+    def fail(f):
+        raise PostconditionError("canonical dual fails the dual equation: residual 2e-07 exceeds 1e-08 * n")
+
+    for module in (report, duals, identities):
+        monkeypatch.setattr(module, "canonical_dual", fail)
+
+
+class TestCanonicalDualFailure:
+    def test_failure_becomes_error_rows(self, monkeypatch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        good = run_suite(f, "all", trials=3, seed=7)
+        fail_canonical_dual(monkeypatch)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=3, seed=7)
+        assert not bad.overall
+        errors = [c.name for c in bad.checks if "[error: PostconditionError: " in c.name]
+        assert [name.split(" [error")[0] for name in errors] == [
+            "dual-equation-canonical",
+            "pointwise-dual-canonical-residual",
+            "frobenius-dual-closed-form",
+            "dual-trial[trial=0]",
+            "dual-trial[trial=1]",
+            "dual-trial[trial=2]",
+        ]
+        # Every row outside the duals suite is kept, value for value.
+        kept = [c for c in bad.checks if "[error: " not in c.name]
+        assert kept == [c for c in good.checks if not c.name.startswith(
+            ("dual-equation", "pointwise-dual", "frobenius-dual", "dual-trial"))]
+
+    def test_verify_exits_4_with_a_report(self, monkeypatch, capsys):
+        fail_canonical_dual(monkeypatch)
+        code = main(["verify", str(GOLDEN_NEARLY_PARSEVAL), "--trials", "2", "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert err == ""
+        assert "FAIL dual-equation-canonical [error: PostconditionError: " in out
+        assert "PASS parseval-proximity-bound" in out
+        assert out.rstrip().endswith("overall: FAIL")
 
 
 class TestRendering:
