@@ -49,7 +49,7 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
         raise FrameOverflowError(
             f"dual perturbation at magnitude {magnitude!r} overflows double precision"
         )
-    dual = GFrame.from_stacked(stacked, lam.counts)
+    dual = GFrame.from_stacked(stacked, like=lam)
     require_alternate_dual(lam, dual)
     return dual
 

@@ -5,7 +5,7 @@ A frame document is JSON of the form
     {"dim_h": n, "operators": [{"rows": k, "re": [[...]], "im": [[...]]}, ...]}
 
 with row-major nested arrays of k rows and n columns per operator. "im" may
-be omitted when the imaginary part is all zero. Values are written with
+be omitted when the imaginary part is all +0.0. Values are written with
 repr-exact decimal, so a round trip reproduces every entry.
 """
 
@@ -23,7 +23,10 @@ from .model import GFrame
 def frame_to_dict(f: GFrame) -> dict:
     t, starts, ends = f.stacked, f.offsets[:-1], f.offsets[1:]
     re, im = t.real.tolist(), t.imag.tolist()
-    has_im = np.logical_or.reduceat(t.imag.any(axis=1), starts).tolist()
+    # "im" is omitted only when every imaginary entry is +0.0 (all bits zero),
+    # so a -0.0 survives the round trip.
+    nonzero_bits = t.imag.view(np.uint64).any(axis=1)
+    has_im = np.logical_or.reduceat(nonzero_bits, starts).tolist()
     operators = []
     for start, end, complex_block in zip(starts, ends, has_im):
         entry = {"rows": end - start, "re": re[start:end]}

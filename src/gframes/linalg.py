@@ -84,6 +84,28 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
+def _require_hermitian(a: np.ndarray) -> None:
+    """Raise NotHermitianError for the first matrix of the stack `a` that is not Hermitian.
+
+    The criterion ||M - M*||_F > tol * (1 + ||M||_F) is evaluated on M / s
+    with s = max |m_ij|, so squaring the entries can neither overflow nor
+    flush the largest of them to zero. A zero matrix is divided by 1 and passes.
+    """
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    divisor = np.where(scale > 0.0, scale, 1.0)
+    unit = a / divisor
+    skew = unit - unit.conj().swapaxes(-1, -2)
+    norm = np.sqrt((unit.real * unit.real + unit.imag * unit.imag).sum(axis=(-2, -1), keepdims=True))
+    asym = np.sqrt((skew.real * skew.real + skew.imag * skew.imag).sum(axis=(-2, -1), keepdims=True))
+    rejected = np.flatnonzero(asym > HERMITIAN_INPUT_TOLERANCE * (1.0 / divisor + norm))
+    if rejected.size:
+        first = rejected[0]
+        raise NotHermitianError(
+            f"matrix is not Hermitian: ||M - M*||_F = {asym.flat[first] * scale.flat[first]:.3e} "
+            f"exceeds {HERMITIAN_INPUT_TOLERANCE:.0e} * (1 + ||M||_F)"
+        )
+
+
 def hermitian_eig(m) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
@@ -92,32 +114,36 @@ def hermitian_eig(m) -> HermitianEigen:
     by symmetrizing to (M + M*)/2. Eigenvalues come back non-increasing; a
     stable sort keeps the solver's order inside blocks of equal eigenvalues.
     Raises ConvergenceError if LAPACK reports that it did not converge.
+
+    `m` may also be a stack (..., n, n): each matrix is checked and decomposed
+    as it would be alone, in one numpy.linalg.eigh call, and the result holds
+    (..., n) eigenvalues and (..., n, n) eigenvectors. A matrix that fails a
+    check raises the error its 2-d call would raise.
     """
-    a = as_matrix(m, "m", require_finite=True)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"m must be two-dimensional, got shape {a.shape}")
+    if min(a.shape) < 1:
+        raise ValueError(f"m must have positive dimensions, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("m contains non-finite entries")
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
-    # The criterion ||M - M*||_F > tol * (1 + ||M||_F) is evaluated on M / s
-    # with s = max |m_ij|, so squaring the entries can neither overflow nor
-    # flush the largest of them to zero.
-    scale = float(np.max(np.abs(a)))
-    if scale > 0.0:
-        unit = a / scale
-        norm = frobenius_norm(unit)
-        asym = frobenius_norm(unit - unit.conj().T)
-        if asym > HERMITIAN_INPUT_TOLERANCE * (1.0 / scale + norm):
-            raise NotHermitianError(
-                f"matrix is not Hermitian: ||M - M*||_F = {asym * scale:.3e} exceeds "
-                f"{HERMITIAN_INPUT_TOLERANCE:.0e} * (1 + ||M||_F)"
-            )
+    _require_hermitian(a)
 
     try:
         # Halving each term first keeps the sum finite for entries up to the double maximum.
-        w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
+        w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    eigenvalues = w[order]
-    eigenvectors = np.ascontiguousarray(vec[:, order])
+    order = np.argsort(-w, axis=-1, kind="stable")
+    # Flat indices put every matrix's eigenpairs in its order with one gather each:
+    # matrix b starts at b*n in w, and its row i at (b*n + i)*n in vec.
+    n = w.shape[-1]
+    first = np.arange(0, w.size, n).reshape(*w.shape[:-1], 1)
+    eigenvalues = w.reshape(-1)[first + order]
+    rows = first * n + np.arange(0, n * n, n)
+    eigenvectors = vec.reshape(-1)[rows[..., np.newaxis] + order[..., np.newaxis, :]]
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -64,22 +64,36 @@ class GFrame:
         self._setup(np.concatenate(blocks), [arr.shape[0] for arr in blocks])
 
     @classmethod
-    def from_stacked(cls, stacked, counts) -> GFrame:
-        """Frame whose analysis operator is a copy of `stacked`, cut into blocks of counts[i] rows."""
+    def from_stacked(cls, stacked, counts=None, *, like: GFrame | None = None) -> GFrame:
+        """Frame whose analysis operator is a copy of `stacked`, cut into blocks of counts[i] rows.
+
+        With `like` in place of `counts`, the blocks are those of the frame
+        `like`, whose counts and offsets were validated when it was built.
+        """
         t = np.array(stacked, dtype=np.complex128)
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValueError(f"stacked operators must form a matrix with columns, got shape {t.shape}")
         f = cls.__new__(cls)
-        f._setup(t, counts)
+        if like is None:
+            f._setup(t, counts)
+        elif counts is not None:
+            raise ValueError("give counts or like, not both")
+        else:
+            f._setup(t, like._counts, like._offsets)
         return f
 
-    def _setup(self, t: np.ndarray, counts) -> None:
-        counts = tuple(int(k) for k in counts)
-        if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
+    def _setup(self, t: np.ndarray, counts, offsets: tuple[int, ...] | None = None) -> None:
+        if offsets is None:
+            counts = tuple(int(k) for k in counts)
+            if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
+                raise ValueError(
+                    f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
+                )
+            offsets = (0, *np.cumsum(counts).tolist())
+        elif offsets[-1] != t.shape[0]:
             raise ValueError(
                 f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
             )
-        offsets = (0, *np.cumsum(counts).tolist())
         bad_rows = np.flatnonzero(~np.isfinite(t).all(axis=1))
         if bad_rows.size:
             idx = int(np.searchsorted(offsets, bad_rows[0], side="right")) - 1
@@ -125,9 +139,9 @@ class FrameOperator:
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, eig: HermitianEigen | None = None):
         self.matrix = matrix
-        self._eig = None
+        self._eig = eig
         self._bounds = None
         self._powers = {}
 
@@ -185,28 +199,50 @@ class FrameBounds:
     epsilon: float | None = None
 
 
-def frame_operator(f: GFrame) -> FrameOperator:
-    """S = T* T as one product; cached per frame.
+def _frame_matrix(t: np.ndarray) -> np.ndarray:
+    """S = T* T, read-only, for a K x n analysis operator or a (..., K, n) stack of them.
 
     Raises FrameOverflowError when an entry of S, or its trace, exceeds the
     double range.
     """
-    cached = f._frame_op
-    if cached is not None:
-        return cached
-    t = f.stacked
     with np.errstate(over="ignore", invalid="ignore"):
-        s = t.conj().T @ t
-        trace_s = np.trace(s).real
-    if not (np.isfinite(s).all() and np.isfinite(trace_s)):
+        s = t.conj().swapaxes(-1, -2) @ t
+        trace_s = s.trace(axis1=-2, axis2=-1).real
+    if not (np.isfinite(s).all() and np.isfinite(trace_s).all()):
         what = "trace(S) = ||T||_F^2" if np.isfinite(s).all() else "S = T* T"
         raise FrameOverflowError(
             f"frame is too large: {what} overflows double precision "
             f"(largest operator entry modulus {float(np.max(np.abs(t))):.3e})"
         )
     s.setflags(write=False)
-    f._frame_op = FrameOperator(s)
+    return s
+
+
+def frame_operator(f: GFrame) -> FrameOperator:
+    """S = T* T as one product; cached per frame.
+
+    Raises FrameOverflowError when an entry of S, or its trace, exceeds the
+    double range.
+    """
+    if f._frame_op is None:
+        f._frame_op = FrameOperator(_frame_matrix(f.stacked))
     return f._frame_op
+
+
+def stacked_frames(t: np.ndarray, counts) -> list[GFrame]:
+    """One frame per K x n slice of the (B, K, n) stack t, each cut into blocks of counts[i] rows.
+
+    Every frame's S and its eigendecomposition come from one stacked product
+    and one stacked hermitian_eig, and are memoized as frame_operator would
+    memoize them; the bounds and powers of S are still built per frame.
+    """
+    s = _frame_matrix(t)
+    eig = hermitian_eig(s)
+    first = GFrame.from_stacked(t[0], counts)
+    frames = [first, *(GFrame.from_stacked(slice_, like=first) for slice_ in t[1:])]
+    for f, matrix, w, v in zip(frames, s, eig.eigenvalues, eig.eigenvectors):
+        f._frame_op = FrameOperator(matrix, HermitianEigen(eigenvalues=w, eigenvectors=v))
+    return frames
 
 
 def validate_frame(f: GFrame) -> FrameBounds:
@@ -245,7 +281,7 @@ def canonical_parseval(f: GFrame) -> GFrame:
     PARSEVAL_TOLERANCE * n; S' stays cached on the returned frame.
     """
     if f._parseval is None:
-        g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), f.counts)
+        g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), like=f)
         defect = parseval_defect(g)
         if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
             raise PostconditionError(
@@ -263,7 +299,7 @@ def canonical_dual(f: GFrame) -> GFrame:
     more than DUAL_TOLERANCE * n.
     """
     if f._dual is None:
-        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
+        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), like=f)
         cert = verify_alternate_dual(f, d)
         if not cert.passed:
             raise PostconditionError(

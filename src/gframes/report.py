@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import dual_proximity_bound, parseval_proximity_bound, random_alternate_dual, verify_alternate_dual
-from .generators import random_parseval_gframe
+from .generators import random_parseval_gframes, unwrap
 from .identities import (
     canonical_dual_gap,
     frobenius_dual_decomposition,
@@ -128,10 +128,10 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     weight = complex_gaussian_matrix(master, n, n)
     weight_sq = frobenius_norm_sq(weight)
     values: list[float] = []
-    for j in range(trials):
-        def energy_row(j=j):
-            companion = random_parseval_gframe(n, f.counts, _child_seed(master))
-            value = parseval_weighted_energy(weight, companion)
+    seeds = [_child_seed(master) for _ in range(trials)]
+    for j, companion in enumerate(random_parseval_gframes(n, f.counts, seeds)):
+        def energy_row(j=j, companion=companion):
+            value = parseval_weighted_energy(weight, unwrap(companion))
             values.append(value)
             return equality_check(
                 f"weighted-energy[trial={j}]", value, weight_sq, 1e-8 * (1.0 + weight_sq))
@@ -167,10 +167,10 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
     _guard(checks, "parseval-approx-canonical", canonical_rows)
 
     totals: list[float] = []
-    for j in range(trials):
-        def identity_row(j=j):
-            companion = random_parseval_gframe(n, f.counts, _child_seed(master))
-            total, canonical_gap, cross = parseval_approx_decomposition(f, companion)
+    seeds = [_child_seed(master) for _ in range(trials)]
+    for j, companion in enumerate(random_parseval_gframes(n, f.counts, seeds)):
+        def identity_row(j=j, companion=companion):
+            total, canonical_gap, cross = parseval_approx_decomposition(f, unwrap(companion))
             totals.append(total)
             return equality_check(
                 f"parseval-approx-identity[trial={j}]",

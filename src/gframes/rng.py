@@ -28,34 +28,63 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _box_muller_batches(gen: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
-    """Consecutive Box-Muller batches of the given sizes, concatenated.
+def _box_muller_batches(gens, sizes: np.ndarray) -> np.ndarray:
+    """Consecutive Box-Muller batches of the given sizes, one row per generator.
 
-    All uniforms come from one gen.random call; Philox hands out the same
-    doubles whether they are requested in one call or in many.
+    Row r holds exactly the variates gens[r] alone would give. The index
+    arrays depend only on `sizes`, so they are built once and applied along
+    the generator axis. Each generator's uniforms come from one gen.random
+    call; Philox hands out the same doubles whether they are requested in
+    one call or in many.
     """
     pairs = (sizes + 1) // 2
     total = int(pairs.sum())
     # Batch b owns uniforms [2*P_b, 2*P_b + 2*p_b) with P_b the pairs before it:
     # u1 of its j-th pair sits at 2*P_b + j and u2 at 2*P_b + p_b + j.
-    before = np.repeat(np.cumsum(pairs) - pairs, pairs)
-    first = before + np.arange(total)
-    u = gen.random(2 * total)
-    u1 = 1.0 - u[first]  # (0, 1], keeps the log finite
-    u2 = u[first + np.repeat(pairs, pairs)]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    first = np.repeat(np.cumsum(pairs) - pairs, pairs) + np.arange(total)
+    second = first + np.repeat(pairs, pairs)
     # Variate q of batch b is cos[P_b + q] for q < p_b, else sin[P_b + q - p_b].
     offset = np.repeat(np.cumsum(pairs) - pairs, sizes)
     q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     width = np.repeat(pairs, sizes)
-    return z[np.where(q < width, offset + q, total + offset + q - width)]
+    pick = np.where(q < width, offset + q, total + offset + q - width)
+    del offset, q, width
+    # Each intermediate below is released once used, so a batch peaks at a few times its size.
+    u = np.empty((len(gens), 2 * total))
+    for row, gen in zip(u, gens):
+        gen.random(out=row)
+    # take keeps every row contiguous (u[:, idx] would return a column-major array).
+    u1 = 1.0 - u.take(first, axis=1)  # (0, 1], keeps the log finite
+    u2 = u.take(second, axis=1)
+    del u
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    del u1, u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    del radius, angle
+    return z.take(pick, axis=1)
 
 
 def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """Box-Muller standard normals drawn from the uniform stream."""
-    return _box_muller_batches(gen, np.array([count]))
+    return _box_muller_batches([gen], np.array([count]))[0]
+
+
+def complex_gaussian_stack(gens, counts, cols: int) -> np.ndarray:
+    """complex_gaussian_blocks for each generator, as one len(gens) x sum(counts) x cols array.
+
+    Each generator draws exactly what it would draw alone; only the index
+    arithmetic and the transform are shared along the generator axis.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = np.repeat(counts * cols, 2)
+    # Batches alternate real, imaginary per block; split by the batch parity.
+    real = np.repeat(np.arange(sizes.size) % 2 == 0, sizes)
+    z = _box_muller_batches(gens, sizes)
+    re = z.compress(real, axis=1)
+    im = z.compress(~real, axis=1)
+    del z
+    return (re + 1j * im).reshape(len(gens), int(counts.sum()), cols)
 
 
 def complex_gaussian_blocks(gen: np.random.Generator, counts, cols: int) -> np.ndarray:
@@ -65,14 +94,7 @@ def complex_gaussian_blocks(gen: np.random.Generator, counts, cols: int) -> np.n
     its real batch drawn before its imaginary batch, so the result equals
     stacking complex_gaussian_matrix draws made one block after another.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    sizes = np.repeat(counts * cols, 2)
-    z = _box_muller_batches(gen, sizes)
-    # Batches alternate real, imaginary per block; split by the batch parity.
-    parity = np.repeat(np.arange(sizes.size) % 2, sizes)
-    re = z[parity == 0]
-    im = z[parity == 1]
-    return (re + 1j * im).reshape(int(counts.sum()), cols)
+    return complex_gaussian_stack([gen], counts, cols)[0]
 
 
 def complex_gaussian_matrix(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -1,17 +1,24 @@
 """Seeded constructors: determinism, certification, exact spectral shaping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gframes.errors import EpsilonOutOfRangeError, NotAFrameError
-from gframes.linalg import frobenius_norm
-from gframes.model import frame_operator, total_frobenius_energy, validate_frame
+from gframes import generators, model
+from gframes.errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
+from gframes.linalg import RANK_TOLERANCE, frobenius_norm
+from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
     embed_vector_frame,
     nearly_parseval_gframe,
     random_gframe,
     random_parseval_gframe,
+    random_parseval_gframes,
     random_unitary,
+    unwrap,
 )
 from gframes.rng import stream
 
@@ -150,3 +157,125 @@ class TestRandomUnitary:
         for n in (1, 2, 7, 16):
             q = random_unitary(stream(14), n)
             assert frobenius_norm(q.conj().T @ q - np.eye(n)) <= 1e-10
+
+
+def reference_blocks(gen, counts, n):
+    """Gaussian blocks drawn one Box-Muller batch at a time, straight from the uniforms."""
+    blocks = []
+    for k in counts:
+        parts = []
+        for _ in range(2):  # the real batch, then the imaginary batch
+            size = k * n
+            pairs = (size + 1) // 2
+            u1 = 1.0 - gen.random(pairs)
+            u2 = gen.random(pairs)
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = (2.0 * np.pi) * u2
+            parts.append(np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size])
+        blocks.append((parts[0] + 1j * parts[1]).reshape(k, n))
+    return np.vstack(blocks)
+
+
+def reference_companion(n, counts, seed, first_substream=0):
+    """One seed at a time: draw, S, eigh, rank gate, S^(-1/2), product."""
+    for substream in range(first_substream, generators.RETRY_CAP):
+        t = reference_blocks(stream(seed, substream), counts, n)
+        s = t.conj().T @ t
+        w, v = np.linalg.eigh(0.5 * s + 0.5 * s.conj().T)
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], np.ascontiguousarray(v[:, order])
+        if w[-1] > RANK_TOLERANCE * w[0]:
+            return t @ ((v * np.power(w, -0.5)) @ v.conj().T)
+    raise AssertionError("the reference drew no frame")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRandomParsevalBatches:
+    """Companions built in stacked batches equal the one-seed-at-a-time construction bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        extra=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=8),
+        per_batch=st.integers(min_value=1, max_value=4),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=11),
+    )
+    def test_batches_equal_per_seed_reference(self, n, extra, per_batch, seeds):
+        counts = (n, *extra)
+        budget = per_batch * 16 * sum(counts) * n
+        sizes = []
+        real_eig = model.hermitian_eig
+
+        def counting_eig(m):
+            sizes.append(m.shape[0])
+            return real_eig(m)
+
+        with mock.patch.object(generators, "BATCH_BYTES", budget), \
+                mock.patch.object(model, "hermitian_eig", counting_eig):
+            got = list(random_parseval_gframes(n, counts, seeds))
+        # Each batch held at most the budget of T, and the seeds crossed it when there were enough.
+        assert sum(sizes) == len(seeds) and max(sizes) <= per_batch
+        assert len(sizes) == -(-len(seeds) // per_batch)
+        for seed, companion in zip(seeds, got):
+            assert isinstance(companion, GFrame)
+            assert companion.counts == counts
+            assert same_bits(companion.stacked, reference_companion(n, counts, seed))
+
+    def test_one_seed_case(self):
+        (companion,) = random_parseval_gframes(3, (2, 2), [7])
+        assert same_bits(companion.stacked, random_parseval_gframe(3, (2, 2), seed=7).stacked)
+
+    def test_rank_failure_redraws_only_that_seed_on_substream_1(self, monkeypatch):
+        seeds, bad = [11, 12, 13, 14], 13
+        calls, origin = [], {}
+        real_stream, real_stack = generators.stream, generators.complex_gaussian_stack
+
+        def recording_stream(seed, substream=0):
+            gen = real_stream(seed, substream)
+            calls.append((seed, substream))
+            origin[id(gen)] = (seed, substream)
+            return gen
+
+        def deficient_stack(gens, counts, cols):
+            t = real_stack(gens, counts, cols)
+            for j, gen in enumerate(gens):
+                if origin[id(gen)] == (bad, 0):
+                    t[j, :, 0] = 0.0  # a zero column: S is singular and the rank gate rejects it
+            return t
+
+        monkeypatch.setattr(generators, "stream", recording_stream)
+        monkeypatch.setattr(generators, "complex_gaussian_stack", deficient_stack)
+        got = list(random_parseval_gframes(3, (2, 2), seeds))
+        assert calls == [(s, 0) for s in seeds] + [(bad, 1)]
+        for seed, companion in zip(seeds, got):
+            first = 1 if seed == bad else 0
+            assert same_bits(companion.stacked, reference_companion(3, (2, 2), seed, first))
+
+    def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
+        seeds, bad = [21, 22, 23], 22
+        origin = {}
+        real_stream, real_stack = generators.stream, generators.complex_gaussian_stack
+
+        def recording_stream(seed, substream=0):
+            gen = real_stream(seed, substream)
+            origin[id(gen)] = seed
+            return gen
+
+        def poisoned_stack(gens, counts, cols):
+            t = real_stack(gens, counts, cols)
+            for j, gen in enumerate(gens):
+                if origin[id(gen)] == bad:
+                    t[j, 0, 0] = np.nan  # fails the whole stacked product
+            return t
+
+        monkeypatch.setattr(generators, "stream", recording_stream)
+        monkeypatch.setattr(generators, "complex_gaussian_stack", poisoned_stack)
+        got = list(random_parseval_gframes(3, (2, 2), seeds))
+        assert isinstance(got[1], GFrameError)
+        with pytest.raises(type(got[1])):
+            unwrap(got[1])
+        for j in (0, 2):
+            assert same_bits(got[j].stacked, reference_companion(3, (2, 2), seeds[j]))

@@ -175,7 +175,9 @@ def frames(draw, max_operators=300):
 @given(f=frames())
 def test_write_frame_is_json_dump_text(f):
     doc = frame_to_dict(f)
-    assert ["im" in entry for entry in doc["operators"]] == [bool(np.any(op.imag)) for op in f.operators]
+    # "im" is written unless every imaginary entry is +0.0.
+    assert ["im" in entry for entry in doc["operators"]] == [
+        bool(np.any(op.imag) or np.any(np.signbit(op.imag))) for op in f.operators]
     buf = io.StringIO()
     write_frame(f, buf)
     got = buf.getvalue().split("\n")
@@ -184,6 +186,23 @@ def test_write_frame_is_json_dump_text(f):
     for number, (a, b) in enumerate(zip(got, want)):
         assert a == b, f"line {number}"
     assert len(got) == len(want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    f=frames(max_operators=12),
+    zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=64),
+)
+def test_signed_zeros_survive_the_round_trip(f, zeros):
+    # Imaginary blocks made of +0.0 and -0.0 only: the sign bits must come back.
+    t = f.stacked.copy()
+    t.imag = np.resize(zeros, t.shape)
+    f = GFrame.from_stacked(t, f.counts)
+    buf = io.StringIO()
+    write_frame(f, buf)
+    g = frame_from_dict(json.loads(buf.getvalue()))
+    assert np.array_equal(np.signbit(g.stacked.imag), np.signbit(f.stacked.imag))
+    assert np.array_equal(g.stacked.view(np.uint64), f.stacked.view(np.uint64))
 
 
 BAD_ENTRIES = [

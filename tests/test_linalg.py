@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gframes.errors import ConvergenceError, NotHermitianError, NotPositiveDefiniteError
 from gframes.linalg import (
@@ -288,3 +290,64 @@ class TestMatrixPower:
         matrix_power(np.diag([1.0, 2.0 * RANK_TOLERANCE]), -1.0)
         with pytest.raises(NotPositiveDefiniteError):
             matrix_power(np.diag([1.0, 0.5 * RANK_TOLERANCE]), -1.0)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def stack_of(rng, kind, count, n):
+    """A stack of count n x n Hermitian matrices: Gram matrices, with repeated eigenvalues, or zero."""
+    if kind == "gram":
+        t = rng.standard_normal((count, 2 * n, n)) + 1j * rng.standard_normal((count, 2 * n, n))
+        return np.swapaxes(t.conj(), -1, -2) @ t
+    if kind == "repeated":
+        return np.stack([np.diag(rng.choice([1.0, 2.0], n)).astype(complex) for _ in range(count)])
+    return np.zeros((count, n, n), dtype=complex)
+
+
+class TestStackedHermitianEig:
+    """A (..., n, n) stack is decomposed as each of its matrices would be alone."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(["gram", "repeated", "zero"]),
+        count=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_equals_per_matrix_calls(self, kind, count, n, seed):
+        m = stack_of(np.random.default_rng(seed), kind, count, n)
+        stacked = hermitian_eig(m)
+        assert stacked.eigenvalues.shape == (count, n)
+        assert stacked.eigenvectors.shape == (count, n, n)
+        for j in range(count):
+            alone = hermitian_eig(m[j])
+            assert np.array_equal(bits(stacked.eigenvalues[j]), bits(alone.eigenvalues))
+            assert np.array_equal(bits(stacked.eigenvectors[j]), bits(alone.eigenvectors))
+
+    def test_two_level_stack(self, rng):
+        m = stack_of(rng, "gram", 6, 3).reshape(2, 3, 3, 3)
+        stacked = hermitian_eig(m)
+        alone = hermitian_eig(m[1, 2])
+        assert np.array_equal(bits(stacked.eigenvectors[1, 2]), bits(alone.eigenvectors))
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_non_hermitian_slice_raises_its_own_error(self, rng, where):
+        m = stack_of(rng, "gram", 5, 4)
+        m[where, 0, 1] += 1.0
+        with pytest.raises(NotHermitianError) as alone:
+            hermitian_eig(m[where])
+        with pytest.raises(NotHermitianError) as stacked:
+            hermitian_eig(m)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_slice_raises_its_own_error(self, rng, value):
+        m = stack_of(rng, "gram", 5, 4)
+        m[3, 2, 2] = value
+        with pytest.raises(ValueError) as alone:
+            hermitian_eig(m[3])
+        with pytest.raises(ValueError) as stacked:
+            hermitian_eig(m)
+        assert str(stacked.value) == str(alone.value)

@@ -1,11 +1,13 @@
 """Verification suites and report rendering."""
 
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from gframes import duals, identities, report
+from gframes import duals, generators, identities, report
 from gframes.cli import main
 from gframes.duals import extremal_frame
 from gframes.errors import PostconditionError
@@ -169,6 +171,45 @@ class TestCanonicalDualFailure:
         assert "FAIL dual-equation-canonical [error: PostconditionError: " in out
         assert "PASS parseval-proximity-bound" in out
         assert out.rstrip().endswith("overall: FAIL")
+
+
+class TestCompanionBatches:
+    def test_failed_companion_is_only_its_own_row(self, monkeypatch):
+        good = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        real = generators.canonical_parseval
+        built = itertools.count()
+
+        def flaky(g):
+            if next(built) == 2:  # the third companion, drawn for weighted-energy[trial=2]
+                raise PostconditionError("injected")
+            return real(g)
+
+        monkeypatch.setattr(generators, "canonical_parseval", flaky)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        assert [c.name for c in bad.checks if "[error: " in c.name] == [
+            "weighted-energy[trial=2] [error: PostconditionError: injected]"]
+        assert [c.name.split(" [error")[0] for c in bad.checks] == [c.name for c in good.checks]
+        by_name = {c.name: c for c in good.checks}
+        for c in bad.checks:
+            if "[error: " not in c.name and c.name != "weighted-energy-spread":
+                assert c == by_name[c.name]
+        # The spread is taken over the trials that kept their values.
+        kept = [by_name[f"weighted-energy[trial={j}]"].lhs for j in (0, 1, 3)]
+        (spread,) = [c for c in bad.checks if c.name == "weighted-energy-spread"]
+        assert spread.lhs == max(kept) - min(kept)
+
+    def test_trials_do_not_grow_peak_memory(self):
+        # Built one companion at a time, this run peaks at 1.10 MB of traced
+        # allocations; with all 50 companions of a suite in one stack, at 11.9 MB.
+        f = nearly_parseval_gframe(48, (12, 12, 12, 12), 0.3, seed=3)
+        run_suite(nearly_parseval_gframe(48, (12, 12, 12, 12), 0.3, seed=4), "all", trials=2, seed=1)
+        tracemalloc.start()
+        try:
+            run_suite(f, "all", trials=50, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1.10e6
 
 
 class TestRendering:
