@@ -6,30 +6,23 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import EpsilonOutOfRangeError, FrameOverflowError, PostconditionError
-from .identities import canonical_dual_gap, parseval_gap, require_alternate_dual
-from .model import (  # DualCertificate and verify_alternate_dual are re-exported here
+from . import generators
+from .errors import EpsilonOutOfRangeError, FrameOverflowError, GFrameError, PostconditionError
+from .identities import canonical_dual_gap, parseval_gap
+from .model import (  # verify_alternate_dual is re-exported here
     DualCertificate,
     GFrame,
     canonical_dual,
+    dual_certificates,
     frame_operator,
     validate_frame,
     verify_alternate_dual,
 )
-from .rng import complex_gaussian_blocks, stream
+from .rng import complex_gaussian_stack, stream
 
 
-def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
-    """A verified alternate dual at a chosen distance scale from the canonical one.
-
-    Starting from the canonical dual, each operator gains a perturbation
-    theta_i = delta_i - lam_i S^(-1) (sum_j adjoint(lam_j) delta_j) where the
-    delta_i are seeded Gaussian blocks rescaled to Frobenius norm `magnitude`.
-    The projection annihilates sum(adjoint(lam_i) theta_i), so the dual
-    equation survives any magnitude; magnitude 0 returns the canonical dual.
-    Raises FrameOverflowError when the perturbation overflows, and
-    NotADualError when round-off at a huge magnitude breaks the equation.
-    """
+def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndarray:
+    """canonical + delta - T S^(-1) T* delta for each seed's Gaussian delta, as a (B, K, n) stack."""
     if not isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
     if magnitude < 0:
@@ -37,21 +30,81 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     canonical = canonical_dual(lam).stacked
     inv = frame_operator(lam).power(-1.0)
     t = lam.stacked
-    blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
-    row_sq = np.sum(blocks.real**2 + blocks.imag**2, axis=1)
-    norms = np.sqrt(np.add.reduceat(row_sq, lam.offsets[:-1]))
+    deltas = complex_gaussian_stack([stream(seed) for seed in seeds], lam.counts, lam.dim_h)
+    row_sq = np.sum(deltas.real**2 + deltas.imag**2, axis=-1)
+    norms = np.sqrt(np.add.reduceat(row_sq, lam.offsets[:-1], axis=-1))
+    # In place: each stack-sized temporary adds to the peak memory of a batch.
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
-        deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
+        deltas *= np.repeat(scale, lam.counts, axis=-1)[..., np.newaxis]
         correction = inv @ (t.conj().T @ deltas)
-        stacked = canonical + deltas - t @ correction
-    if not np.isfinite(stacked).all():
-        raise FrameOverflowError(
-            f"dual perturbation at magnitude {magnitude!r} overflows double precision"
-        )
-    dual = GFrame.from_stacked(stacked, like=lam)
-    require_alternate_dual(lam, dual)
-    return dual
+        np.add(canonical, deltas, out=deltas)
+        deltas -= t @ correction
+    return deltas
+
+
+def _dual_batch(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[np.ndarray, list]:
+    try:
+        duals = _perturbed_duals(lam, magnitude, seeds)
+        certificates = dual_certificates(lam, duals)
+    except Exception as exc:  # a stacked step failed: rebuild seed by seed to find whose error it is
+        if len(seeds) == 1:
+            return np.zeros((1, *lam.stacked.shape), dtype=np.complex128), [exc]
+        parts = [_dual_batch(lam, magnitude, [seed]) for seed in seeds]
+        return np.concatenate([duals for duals, _ in parts]), [o for _, outcomes in parts for o in outcomes]
+    outcomes = []
+    for finite, cert in zip(np.isfinite(duals).all(axis=(1, 2)).tolist(), certificates):
+        try:
+            if not finite:
+                raise FrameOverflowError(
+                    f"dual perturbation at magnitude {magnitude!r} overflows double precision"
+                )
+            cert.require()
+        except GFrameError as exc:  # the error belongs to this seed alone
+            outcomes.append(exc)
+        else:
+            outcomes.append(cert)
+    return duals, outcomes
+
+
+def alternate_dual_batches(lam: GFrame, magnitude: float, seeds):
+    """The duals of random_alternate_duals, one stacked batch at a time.
+
+    Yields (duals, outcomes) for each batch of at most generators.BATCH_BYTES
+    of T: outcomes[i] is the DualCertificate of seed i's dual, the K x n
+    slice duals[i], or the exception that stopped seed i, whose slice then
+    holds no dual.
+    """
+    seeds = list(seeds)
+    size = max(1, generators.BATCH_BYTES // (16 * lam.stacked.size))
+    for start in range(0, len(seeds), size):
+        yield _dual_batch(lam, magnitude, seeds[start : start + size])
+
+
+def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
+    """Verified alternate duals at a chosen distance scale from the canonical one, in seed order.
+
+    Starting from the canonical dual, each operator gains a perturbation
+    theta_i = delta_i - lam_i S^(-1) (sum_j adjoint(lam_j) delta_j) where the
+    delta_i are seeded Gaussian blocks rescaled to Frobenius norm `magnitude`.
+    The projection annihilates sum(adjoint(lam_i) theta_i), so the dual
+    equation survives any magnitude; magnitude 0 gives the canonical dual.
+
+    Yields, for each seed, its dual or the exception that stopped it (read
+    either with generators.unwrap): FrameOverflowError when the perturbation
+    overflows, and NotADualError when round-off at a huge magnitude breaks
+    the equation. The draws, the projection and the dual-equation check run
+    as stacked products in batches of at most generators.BATCH_BYTES of T.
+    """
+    for duals, outcomes in alternate_dual_batches(lam, magnitude, seeds):
+        for dual, outcome in zip(duals, outcomes):
+            yield GFrame.from_stacked(dual, like=lam) if isinstance(outcome, DualCertificate) else outcome
+
+
+def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
+    """The one-seed case of random_alternate_duals; raises the exception that stopped the seed."""
+    (dual,) = random_alternate_duals(lam, magnitude, [seed])
+    return generators.unwrap(dual)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FrameOverflowError, NotADualError, NotParsevalError, PostconditionError
-from .linalg import as_matrix, as_vector, frobenius_norm_sq, trace
-from .model import (
+from .errors import FrameOverflowError, NotParsevalError, PostconditionError
+from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq, trace
+from .model import (  # DUAL_TOLERANCE is re-exported here
     DUAL_TOLERANCE,
     PARSEVAL_TOLERANCE,
     GFrame,
     canonical_dual,
     canonical_parseval,
+    dual_certificates,
     frame_operator,
     parseval_defect,
     require_matching_shapes,
@@ -39,19 +40,36 @@ def require_parseval(g: GFrame, name: str = "frame") -> None:
         )
 
 
-def require_alternate_dual(lam: GFrame, gam: GFrame) -> None:
-    cert = verify_alternate_dual(lam, gam)
-    if not cert.passed:
-        raise NotADualError(
-            f"family is not an alternate dual: residual {cert.residual:.3e} exceeds "
-            f"{DUAL_TOLERANCE:.0e} * n",
-            residual=cert.residual,
+def require_alternate_dual(lam: GFrame, gam) -> np.ndarray:
+    """The analysis operators of gam as a (B, K, n) stack, once each is an alternate dual of lam.
+
+    gam is a GFrame (B = 1) or a (B, K, n) stack of analysis operators.
+    Raises NotADualError for the first that misses the dual equation.
+    """
+    if isinstance(gam, GFrame):
+        verify_alternate_dual(lam, gam).require()
+        return gam.stacked[np.newaxis]
+    duals = np.asarray(gam, dtype=np.complex128)
+    if duals.ndim != 3 or duals.shape[1:] != lam.stacked.shape:
+        raise ValueError(
+            f"a stack of duals must have shape (B, {lam.stacked.shape[0]}, {lam.dim_h}), "
+            f"got {duals.shape}"
         )
+    for cert in dual_certificates(lam, duals):
+        cert.require()
+    return duals
 
 
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise PostconditionError(message)
+
+
+def _check_each(conditions: np.ndarray, message) -> None:
+    """_check for each entry of a boolean array; message(i) describes entry i."""
+    failed = np.flatnonzero(~conditions)
+    if failed.size:
+        raise PostconditionError(message(int(failed[0])))
 
 
 def parseval_weighted_energy(weight, g: GFrame) -> float:
@@ -152,7 +170,7 @@ def canonical_dual_gap(lam: GFrame) -> float:
     return float(np.sum((lam_k - 1.0) * ((lam_k - 1.0) / lam_k)))
 
 
-def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, float, float]:
+def pointwise_dual_decomposition(lam: GFrame, gam, x):
     """Split the coefficient distance at one vector between a frame and a dual.
 
     Returns (total, canonical, residual):
@@ -161,24 +179,41 @@ def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, fl
       residual   sum ||lam_i S^(-1) x - gam_i x||^2
     with total = canonical + residual; the residual vanishes when gam is the
     canonical dual.
+
+    gam may also be a (B, K, n) stack of analysis operators of duals, and x
+    an n x m block of probe vectors: the terms then come back as arrays, entry
+    j pairing column j of x with dual j (a single dual or vector serves every
+    entry), each entry what the call on that dual and vector alone returns.
     """
     validate_frame(lam)
-    require_alternate_dual(lam, gam)
-    vec = as_vector(x, lam.dim_h, "x")
-    lam_x = lam.stacked @ vec
-    gam_x = gam.stacked @ vec
-    can_x = lam.stacked @ (frame_operator(lam).power(-1.0) @ vec)
-    total = float(np.sum(np.abs(lam_x - gam_x) ** 2))
-    canonical = float(np.sum(np.abs(lam_x - can_x) ** 2))
-    residual = float(np.sum(np.abs(can_x - gam_x) ** 2))
-    _check(
+    duals = require_alternate_dual(lam, gam)
+    single = isinstance(gam, GFrame) and np.ndim(x) == 1
+    if np.ndim(x) == 2:
+        probes = as_matrix(x, "x", require_finite=True)
+        if probes.shape[0] != lam.dim_h:
+            raise ValueError(f"x must have {lam.dim_h} rows, got {probes.shape[0]}")
+        vecs = np.ascontiguousarray(probes.T)[..., np.newaxis]
+    else:
+        vecs = as_vector(x, lam.dim_h, "x")[np.newaxis, :, np.newaxis]
+    # One matrix-vector product per probe: the products of the one-vector call, bit for bit.
+    lam_x = lam.stacked @ vecs
+    gam_x = duals @ vecs
+    can_x = lam.stacked @ (frame_operator(lam).power(-1.0) @ vecs)
+    total = np.sum(np.abs(lam_x - gam_x) ** 2, axis=(-2, -1))
+    canonical = np.sum(np.abs(lam_x - can_x) ** 2, axis=(-2, -1))
+    residual = np.sum(np.abs(can_x - gam_x) ** 2, axis=(-2, -1))
+    total, canonical, residual = np.broadcast_arrays(total, canonical, residual)
+    _check_each(
         abs(total - canonical - residual) <= 1e-8 * (1.0 + total),
-        f"pointwise decomposition drifted: {total!r} vs {canonical!r} + {residual!r}",
+        lambda i: f"pointwise decomposition drifted: {float(total[i])!r} vs "
+        f"{float(canonical[i])!r} + {float(residual[i])!r}",
     )
+    if single:
+        return float(total[0]), float(canonical[0]), float(residual[0])
     return total, canonical, residual
 
 
-def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float, float]:
+def frobenius_dual_decomposition(lam: GFrame, gam):
     """Split the Frobenius distance between a frame and an alternate dual.
 
     Returns (total, canonical, residual):
@@ -187,21 +222,29 @@ def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float
       residual   sum ||lam_i S^(-1) - gam_i||_F^2
     with total = canonical + residual; canonical matches the spectral form
     sum_k (lambda_k - 1)^2 / lambda_k.
+
+    gam may also be a (B, K, n) stack of analysis operators of duals: total
+    and residual then come back as length-B arrays, entry b what the call on
+    dual b alone returns, and canonical, which depends on lam alone, as one
+    float, built and checked once.
     """
     validate_frame(lam)
-    require_alternate_dual(lam, gam)
-    a, b = lam.stacked, gam.stacked
+    b = require_alternate_dual(lam, gam)
+    a = lam.stacked
     c = canonical_dual(lam).stacked
-    total = frobenius_norm_sq(a - b)
+    total = frobenius_norms_sq(a - b)
     canonical = frobenius_norm_sq(a - c)
-    residual = frobenius_norm_sq(c - b)
-    _check(
+    residual = frobenius_norms_sq(c - b)
+    _check_each(
         abs(total - canonical - residual) <= 1e-7 * (1.0 + total),
-        f"dual decomposition drifted: {total!r} vs {canonical!r} + {residual!r}",
+        lambda i: f"dual decomposition drifted: {float(total[i])!r} vs {canonical!r} + "
+        f"{float(residual[i])!r}",
     )
     closed = canonical_dual_gap(lam)
     _check(
         abs(canonical - closed) <= 1e-8 * (1.0 + canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",
     )
+    if isinstance(gam, GFrame):
+        return float(total[0]), canonical, float(residual[0])
     return total, canonical, residual

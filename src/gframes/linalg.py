@@ -64,6 +64,11 @@ def frobenius_norm_sq(m) -> float:
     return float(np.sum(arr.real * arr.real + arr.imag * arr.imag))
 
 
+def frobenius_norms_sq(m: np.ndarray) -> np.ndarray:
+    """frobenius_norm_sq of each matrix of a (..., r, c) complex stack, as an array of its leading shape."""
+    return np.sum(m.real * m.real + m.imag * m.imag, axis=(-2, -1))
+
+
 def frobenius_norm(m) -> float:
     return float(np.sqrt(frobenius_norm_sq(m)))
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameOverflowError, NotAFrameError, PostconditionError
+from .errors import FrameOverflowError, NotADualError, NotAFrameError, PostconditionError
 from .linalg import (
     RANK_TOLERANCE,
     HermitianEigen,
     as_vector,
     frobenius_norm,
     frobenius_norm_sq,
+    frobenius_norms_sq,
     hermitian_eig,
     matrix_power_eig,
 )
@@ -336,13 +337,19 @@ def require_matching_shapes(a: GFrame, b: GFrame) -> None:
         )
 
 
+def dual_residuals(lam: GFrame, duals: np.ndarray) -> np.ndarray:
+    """dual_residual of lam against each K x n analysis operator of the (..., K, n) stack duals."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = lam.stacked.conj().T @ duals - np.eye(lam.dim_h)
+        norms = np.sqrt(frobenius_norms_sq(gap))
+    # An overflowing product holds inf, and nan where inf meets 0.
+    return np.where(np.isfinite(gap).all(axis=(-2, -1)), norms, np.inf)
+
+
 def dual_residual(lam: GFrame, gam: GFrame) -> float:
     """Frobenius distance of sum(adjoint(lam_i) @ gam_i) from the identity; inf if it overflows."""
     require_matching_shapes(lam, gam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = lam.stacked.conj().T @ gam.stacked - np.eye(lam.dim_h)
-        # An overflowing product holds inf, and nan where inf meets 0.
-        return frobenius_norm(gap) if np.isfinite(gap).all() else np.inf
+    return float(dual_residuals(lam, gam.stacked))
 
 
 @dataclass(frozen=True)
@@ -353,9 +360,27 @@ class DualCertificate:
     tolerance: float
     passed: bool
 
+    def require(self) -> None:
+        """Raise NotADualError unless the dual equation held."""
+        if not self.passed:
+            raise NotADualError(
+                f"family is not an alternate dual: residual {self.residual:.3e} exceeds "
+                f"{DUAL_TOLERANCE:.0e} * n",
+                residual=self.residual,
+            )
+
+
+def dual_certificates(lam: GFrame, duals: np.ndarray) -> list[DualCertificate]:
+    """verify_alternate_dual for each K x n analysis operator of the (B, K, n) stack duals."""
+    tolerance = DUAL_TOLERANCE * lam.dim_h
+    return [
+        DualCertificate(residual=r, tolerance=tolerance, passed=r <= tolerance)
+        for r in dual_residuals(lam, duals).tolist()
+    ]
+
 
 def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:
     """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h."""
-    residual = dual_residual(lam, gam)
-    tolerance = DUAL_TOLERANCE * lam.dim_h
-    return DualCertificate(residual=residual, tolerance=tolerance, passed=residual <= tolerance)
+    require_matching_shapes(lam, gam)
+    (cert,) = dual_certificates(lam, gam.stacked[np.newaxis])
+    return cert

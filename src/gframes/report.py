@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import dual_proximity_bound, parseval_proximity_bound, random_alternate_dual, verify_alternate_dual
+from .duals import alternate_dual_batches, dual_proximity_bound, parseval_proximity_bound, verify_alternate_dual
 from .generators import random_parseval_gframes, unwrap
 from .identities import (
     canonical_dual_gap,
@@ -36,7 +36,7 @@ from .model import (
     total_frobenius_energy,
     validate_frame,
 )
-from .rng import complex_gaussian_matrix, standard_normals, stream
+from .rng import complex_gaussian_matrix, standard_normal_batches, standard_normals, stream
 
 SUITE_NAMES = ("budgets", "parseval-approx", "duals", "bounds", "all")
 POWER_EXPONENTS = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
@@ -202,13 +202,11 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
         return parts[:n] + 1j * parts[n:]
 
     def canonical_pointwise():
-        probes = [probe() for _ in range(5)]  # drawn first, so the trials' seeds never depend on the dual
-        canonical = canonical_dual(f)
-        worst = 0.0
-        for x in probes:
-            _, _, residual = pointwise_dual_decomposition(f, canonical, x)
-            worst = max(worst, residual)
-        return at_most_check("pointwise-dual-canonical-residual", worst, 0.0, 1e-10)
+        # One draw of the 5 probes, made first, so the trials' seeds never depend on the dual.
+        parts = standard_normal_batches(master, 5, 2 * n)
+        probes = parts[:, :n] + 1j * parts[:, n:]
+        _, _, residual = pointwise_dual_decomposition(f, canonical_dual(f), probes.T)
+        return at_most_check("pointwise-dual-canonical-residual", float(np.max(residual)), 0.0, 1e-10)
 
     _guard(checks, "pointwise-dual-canonical-residual", canonical_pointwise)
 
@@ -224,26 +222,50 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     _guard(checks, "frobenius-dual-closed-form", closed_form_row)
 
-    for j in range(trials):
-        def trial_rows(j=j):
-            dual = random_alternate_dual(f, magnitude=1.0, seed=_child_seed(master))
-            cert = verify_alternate_dual(f, dual)
-            rows = [at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance)]
-            total, canonical_term, residual = frobenius_dual_decomposition(f, dual)
-            rows.append(equality_check(
-                f"frobenius-dual-identity[trial={j}]",
-                total, canonical_term + residual, 1e-7 * (1.0 + total)))
-            x = probe()
-            ptotal, pcanon, pres = pointwise_dual_decomposition(f, dual, x)
-            rows.append(equality_check(
-                f"pointwise-dual-identity[trial={j}]",
-                ptotal, pcanon + pres, 1e-8 * (1.0 + ptotal)))
-            rows.append(at_least_check(
-                f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)))
-            return rows
+    # Every trial's (seed, probe) pair is drawn before any dual, so trial j's draws depend on (seed, j) alone.
+    drawn = [(_child_seed(master), probe()) for _ in range(trials)]
+    j = 0
+    for duals, outcomes in alternate_dual_batches(f, 1.0, [child for child, _ in drawn]):
+        probes = np.array([x for _, x in drawn[j : j + len(outcomes)]])
+        for outcome, terms in zip(outcomes, _dual_terms(f, duals, probes)):
+            def trial_rows(j=j, outcome=outcome, terms=terms):
+                cert = unwrap(outcome)
+                (total, canonical_term, residual), (ptotal, pcanon, pres) = unwrap(terms)
+                return [
+                    at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance),
+                    equality_check(
+                        f"frobenius-dual-identity[trial={j}]",
+                        total, canonical_term + residual, 1e-7 * (1.0 + total)),
+                    equality_check(
+                        f"pointwise-dual-identity[trial={j}]",
+                        ptotal, pcanon + pres, 1e-8 * (1.0 + ptotal)),
+                    at_least_check(
+                        f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)),
+                ]
 
-        _guard(checks, f"dual-trial[trial={j}]", trial_rows)
+            _guard(checks, f"dual-trial[trial={j}]", trial_rows)
+            j += 1
     return checks
+
+
+def _dual_terms(f: GFrame, duals: np.ndarray, probes: np.ndarray) -> list:
+    """Per dual of the (B, K, n) stack: its Frobenius and pointwise (at probes[b]) decomposition terms.
+
+    One stacked call per identity; a dual whose calls raise gets that
+    exception in place of its terms, the others keep theirs.
+    """
+    try:
+        total, canonical, residual = frobenius_dual_decomposition(f, duals)
+        ptotal, pcanon, pres = pointwise_dual_decomposition(f, duals, probes.T)
+    except Exception as exc:  # a stacked call failed: redo dual by dual to find whose error it is
+        if len(duals) == 1:
+            return [exc]
+        return [t for b in range(len(duals)) for t in _dual_terms(f, duals[b : b + 1], probes[b : b + 1])]
+    return [
+        ((t, canonical, r), (pt, pc, pr))
+        for t, r, pt, pc, pr in zip(
+            total.tolist(), residual.tolist(), ptotal.tolist(), pcanon.tolist(), pres.tolist())
+    ]
 
 
 def bounds_suite(f: GFrame) -> list[CheckResult]:

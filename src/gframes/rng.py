@@ -13,6 +13,8 @@ then its imaginary batch; a family of blocks draws them in order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -28,15 +30,16 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _box_muller_batches(gens, sizes: np.ndarray) -> np.ndarray:
-    """Consecutive Box-Muller batches of the given sizes, one row per generator.
+# Draws of at most this many variates keep their index arrays in a memo: there
+# building the indices costs more than the draw itself (36 us against 15 us for
+# 8 normals). Larger draws rebuild them: memoizing the 256 KiB of indices of a
+# 256 x 32 frame raised the peak RSS of a construct-n32 process by 2.2 MB.
+MEMO_VARIATES = 1 << 13
 
-    Row r holds exactly the variates gens[r] alone would give. The index
-    arrays depend only on `sizes`, so they are built once and applied along
-    the generator axis. Each generator's uniforms come from one gen.random
-    call; Philox hands out the same doubles whether they are requested in
-    one call or in many.
-    """
+
+def _box_muller_indices(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only gather indices (first, second, pick) of _box_muller_batches for these batch sizes."""
+    sizes = np.array(sizes, dtype=np.int64)
     pairs = (sizes + 1) // 2
     total = int(pairs.sum())
     # Batch b owns uniforms [2*P_b, 2*P_b + 2*p_b) with P_b the pairs before it:
@@ -48,9 +51,27 @@ def _box_muller_batches(gens, sizes: np.ndarray) -> np.ndarray:
     q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     width = np.repeat(pairs, sizes)
     pick = np.where(q < width, offset + q, total + offset + q - width)
-    del offset, q, width
+    for index in (first, second, pick):
+        index.setflags(write=False)
+    return first, second, pick
+
+
+_memo_indices = lru_cache(maxsize=16)(_box_muller_indices)
+
+
+def _box_muller_batches(gens, sizes: tuple[int, ...]) -> np.ndarray:
+    """Consecutive Box-Muller batches of the given sizes, one row per generator.
+
+    Row r holds exactly the variates gens[r] alone would give. The index
+    arrays depend only on `sizes`, so they are built once per call (once per
+    distinct sizes for small draws) and applied along the generator axis.
+    Each generator's uniforms come from one gen.random call; Philox hands out
+    the same doubles whether they are requested in one call or in many.
+    """
+    indices = _memo_indices if sum(sizes) <= MEMO_VARIATES else _box_muller_indices
+    first, second, pick = indices(sizes)
     # Each intermediate below is released once used, so a batch peaks at a few times its size.
-    u = np.empty((len(gens), 2 * total))
+    u = np.empty((len(gens), 2 * first.size))
     for row, gen in zip(u, gens):
         gen.random(out=row)
     # take keeps every row contiguous (u[:, idx] would return a column-major array).
@@ -67,7 +88,12 @@ def _box_muller_batches(gens, sizes: np.ndarray) -> np.ndarray:
 
 def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """Box-Muller standard normals drawn from the uniform stream."""
-    return _box_muller_batches([gen], np.array([count]))[0]
+    return _box_muller_batches([gen], (count,))[0]
+
+
+def standard_normal_batches(gen: np.random.Generator, batches: int, count: int) -> np.ndarray:
+    """batches x count array whose row b is the b-th of `batches` consecutive standard_normals(gen, count) draws."""
+    return _box_muller_batches([gen], (count,) * batches)[0].reshape(batches, count)
 
 
 def complex_gaussian_stack(gens, counts, cols: int) -> np.ndarray:
@@ -76,15 +102,14 @@ def complex_gaussian_stack(gens, counts, cols: int) -> np.ndarray:
     Each generator draws exactly what it would draw alone; only the index
     arithmetic and the transform are shared along the generator axis.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    sizes = np.repeat(counts * cols, 2)
+    sizes = tuple(np.repeat(np.asarray(counts, dtype=np.int64) * cols, 2).tolist())
     # Batches alternate real, imaginary per block; split by the batch parity.
-    real = np.repeat(np.arange(sizes.size) % 2 == 0, sizes)
+    real = np.repeat(np.arange(len(sizes)) % 2 == 0, sizes)
     z = _box_muller_batches(gens, sizes)
     re = z.compress(real, axis=1)
     im = z.compress(~real, axis=1)
     del z
-    return (re + 1j * im).reshape(len(gens), int(counts.sum()), cols)
+    return (re + 1j * im).reshape(len(gens), sum(counts), cols)
 
 
 def complex_gaussian_blocks(gen: np.random.Generator, counts, cols: int) -> np.ndarray:

@@ -1,20 +1,33 @@
 """Alternate duals, proximity bounds, and the bound-attaining extremal frames."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gframes.errors import EpsilonOutOfRangeError, FrameOverflowError, NotADualError, NotAFrameError
+from gframes import duals, generators
+from gframes.errors import (
+    EpsilonOutOfRangeError,
+    FrameOverflowError,
+    NotADualError,
+    NotAFrameError,
+    PostconditionError,
+)
 from gframes.duals import (
     dual_proximity_bound,
     extremal_frame,
     parseval_proximity_bound,
     random_alternate_dual,
+    random_alternate_duals,
     verify_alternate_dual,
 )
 from gframes.identities import canonical_dual_gap, parseval_gap, pointwise_dual_decomposition
 from gframes.linalg import frobenius_norm, matrix_power
 from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator, validate_frame
-from gframes.generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
+from gframes.generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe, unwrap
+from gframes.rng import complex_gaussian_blocks, stream
 
 
 def diagonal_frame(values):
@@ -235,3 +248,94 @@ class TestExtremalFrame:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             extremal_frame(0, 0.1)
+
+
+def reference_dual(lam, magnitude, seed):
+    """One seed at a time, on K x n arrays: draw, rescale each block to norm `magnitude`, project."""
+    t = lam.stacked
+    blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
+    norms = np.sqrt(np.add.reduceat(np.sum(blocks.real**2 + blocks.imag**2, axis=1), lam.offsets[:-1]))
+    scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
+    deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
+    correction = frame_operator(lam).power(-1.0) @ (t.conj().T @ deltas)
+    return canonical_dual(lam).stacked + deltas - t @ correction
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRandomAlternateDualBatches:
+    """Duals built in stacked batches equal the one-seed-at-a-time construction bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        extra=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=6),
+        per_batch=st.integers(min_value=1, max_value=4),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=9),
+        magnitude=st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_batches_equal_one_seed_calls(self, n, extra, per_batch, seeds, magnitude):
+        lam = random_gframe(n, (n, *extra), seed=len(extra))
+        budget = per_batch * 16 * lam.stacked.size
+        sizes = []
+        real_stack = duals.complex_gaussian_stack
+
+        def counting_stack(gens, counts, cols):
+            sizes.append(len(gens))
+            return real_stack(gens, counts, cols)
+
+        with mock.patch.object(generators, "BATCH_BYTES", budget), \
+                mock.patch.object(duals, "complex_gaussian_stack", counting_stack):
+            got = list(random_alternate_duals(lam, magnitude, seeds))
+        assert sizes == [min(per_batch, len(seeds) - start) for start in range(0, len(seeds), per_batch)]
+        for seed, dual in zip(seeds, got):
+            assert isinstance(dual, GFrame) and dual.counts == lam.counts
+            assert same_bits(dual.stacked, reference_dual(lam, magnitude, seed))
+            assert same_bits(dual.stacked, random_alternate_dual(lam, magnitude, seed).stacked)
+
+    def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
+        lam = random_gframe(3, (2, 2), seed=4)
+        seeds, bad = [31, 32, 33], 32
+        origin = {}
+        real_stream, real_stack = duals.stream, duals.complex_gaussian_stack
+
+        def recording_stream(seed, substream=0):
+            gen = real_stream(seed, substream)
+            origin[id(gen)] = seed
+            return gen
+
+        def poisoned_stack(gens, counts, cols):
+            if any(origin[id(gen)] == bad for gen in gens):
+                raise RuntimeError("poisoned draw")
+            return real_stack(gens, counts, cols)
+
+        monkeypatch.setattr(duals, "stream", recording_stream)
+        monkeypatch.setattr(duals, "complex_gaussian_stack", poisoned_stack)
+        got = list(random_alternate_duals(lam, 1.0, seeds))
+        assert isinstance(got[1], RuntimeError)
+        for j in (0, 2):
+            assert same_bits(got[j].stacked, reference_dual(lam, 1.0, seeds[j]))
+
+    def test_each_seed_keeps_its_own_check_failure(self):
+        # At magnitude 1e10 the round-off of each seed's projection misses the dual equation.
+        lam, seeds = extremal_frame(4, 0.25), [0, 1, 2]
+        got = list(random_alternate_duals(lam, 1e10, seeds))
+        assert all(isinstance(outcome, NotADualError) for outcome in got)
+        assert len({outcome.residual for outcome in got}) == len(seeds)
+        for seed, outcome in zip(seeds, got):
+            with pytest.raises(NotADualError) as alone:
+                random_alternate_dual(lam, magnitude=1e10, seed=seed)
+            assert str(alone.value) == str(outcome)
+            assert alone.value.residual == outcome.residual
+
+    def test_setup_failure_is_yielded_for_every_seed(self, monkeypatch):
+        def fail(f):
+            raise PostconditionError("canonical dual fails the dual equation")
+
+        monkeypatch.setattr(duals, "canonical_dual", fail)
+        got = list(random_alternate_duals(random_gframe(3, (2, 2), seed=4), 1.0, [1, 2, 3]))
+        assert [type(outcome) for outcome in got] == [PostconditionError] * 3
+        with pytest.raises(ValueError, match="magnitude must be non-negative"):
+            unwrap(next(random_alternate_duals(random_gframe(3, (2, 2), seed=4), -1.0, [1])))

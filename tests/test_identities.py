@@ -250,6 +250,57 @@ class TestFrobeniusDualDecomposition:
             frobenius_dual_decomposition(lam, gam)
 
 
+class TestStackedDualDecompositions:
+    """A (B, K, n) stack of duals and an n x m block of probes give each per-dual call's terms, bit for bit."""
+
+    @staticmethod
+    def duals_of(lam, seeds):
+        return [canonical_dual(lam)] + [random_alternate_dual(lam, magnitude=0.5 + s, seed=s) for s in seeds]
+
+    @pytest.mark.parametrize("n, counts", [(1, (1,)), (3, (2, 2)), (4, (1,) * 9), (6, (3, 4, 2))])
+    def test_frobenius_stack_equals_each_call(self, n, counts):
+        lam = random_gframe(n, counts, seed=n)
+        frames = self.duals_of(lam, [1, 2, 3])
+        total, canonical, residual = frobenius_dual_decomposition(lam, np.stack([d.stacked for d in frames]))
+        for b, dual in enumerate(frames):
+            assert (float(total[b]), canonical, float(residual[b])) == frobenius_dual_decomposition(lam, dual)
+
+    @pytest.mark.parametrize("n, counts", [(1, (1,)), (3, (2, 2)), (4, (1,) * 9), (6, (3, 4, 2))])
+    def test_pointwise_stack_and_block_equal_each_call(self, n, counts, rng):
+        lam = random_gframe(n, counts, seed=n)
+        frames = self.duals_of(lam, [4, 5, 6])
+        stack = np.stack([d.stacked for d in frames])
+        x = random_complex(rng, n, len(frames))
+        paired = pointwise_dual_decomposition(lam, stack, x)
+        one_dual = pointwise_dual_decomposition(lam, frames[1], x)
+        one_vector = pointwise_dual_decomposition(lam, stack, x[:, 2])
+        for b, dual in enumerate(frames):
+            assert tuple(float(term[b]) for term in paired) == pointwise_dual_decomposition(lam, dual, x[:, b])
+            assert tuple(float(term[b]) for term in one_dual) == pointwise_dual_decomposition(
+                lam, frames[1], x[:, b])
+            assert tuple(float(term[b]) for term in one_vector) == pointwise_dual_decomposition(
+                lam, dual, x[:, 2])
+
+    def test_non_dual_slice_raises_its_own_error(self):
+        lam = random_gframe(3, (2, 2), seed=28)
+        frames = self.duals_of(lam, [7]) + [lam]
+        stack = np.stack([d.stacked for d in frames])
+        with pytest.raises(NotADualError) as alone:
+            frobenius_dual_decomposition(lam, lam)
+        for call in (lambda: frobenius_dual_decomposition(lam, stack),
+                     lambda: pointwise_dual_decomposition(lam, stack, np.ones((3, 3)))):
+            with pytest.raises(NotADualError) as stacked:
+                call()
+            assert str(stacked.value) == str(alone.value)
+
+    def test_rejects_stack_of_other_shape(self):
+        lam = random_gframe(3, (2, 2), seed=29)
+        with pytest.raises(ValueError, match="must have shape"):
+            frobenius_dual_decomposition(lam, canonical_dual(lam).stacked)
+        with pytest.raises(ValueError, match="must have 3 rows"):
+            pointwise_dual_decomposition(lam, canonical_dual(lam), np.ones((2, 4)))
+
+
 class TestVectorFrameEmbedding:
     def test_classical_sum_matches_embedding(self, rng):
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]

@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gframes import duals, generators, identities, report
@@ -210,6 +211,41 @@ class TestCompanionBatches:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 1.10e6
+
+
+class TestDualBatches:
+    @pytest.mark.parametrize("per_batch", [None, 2])
+    def test_failed_dual_is_only_its_own_row(self, monkeypatch, per_batch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        if per_batch:
+            monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+        good = run_suite(f, "all", trials=4, seed=7)
+        real = duals.complex_gaussian_stack
+        drawn = itertools.count()
+
+        def flaky(gens, counts, cols):
+            t = real(gens, counts, cols)
+            for b in range(len(gens)):
+                if next(drawn) == 2:  # the third dual, built for dual-trial[trial=2]
+                    t[b, 0, 0] = np.nan
+            return t
+
+        monkeypatch.setattr(duals, "complex_gaussian_stack", flaky)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        assert [c.name for c in bad.checks if "[error: " in c.name] == [
+            "dual-trial[trial=2] [error: FrameOverflowError: "
+            "dual perturbation at magnitude 1.0 overflows double precision]"]
+        # The other trials keep every row value for value, the later one included.
+        assert [c for c in bad.checks if "[error: " not in c.name] == [
+            c for c in good.checks if not c.name.endswith("[trial=2]") or "dual" not in c.name]
+
+    def test_trial_draws_depend_on_seed_and_index_alone(self, monkeypatch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        long = run_suite(f, "duals", trials=7, seed=5)
+        monkeypatch.setattr(generators, "BATCH_BYTES", 1)
+        short = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "duals", trials=3, seed=5)
+        assert short.checks == long.checks[: len(short.checks)]
+        assert len(long.checks) == len(short.checks) + 4 * 4
 
 
 class TestRendering:
