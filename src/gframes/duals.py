@@ -43,17 +43,16 @@ def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndar
     return deltas
 
 
-def _dual_batch(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[np.ndarray, list]:
-    try:
-        duals = _perturbed_duals(lam, magnitude, seeds)
-        certificates = dual_certificates(lam, duals)
-    except Exception as exc:  # a stacked step failed: rebuild seed by seed to find whose error it is
-        if len(seeds) == 1:
-            return np.zeros((1, *lam.stacked.shape), dtype=np.complex128), [exc]
-        parts = [_dual_batch(lam, magnitude, [seed]) for seed in seeds]
-        return np.concatenate([duals for duals, _ in parts]), [o for _, outcomes in parts for o in outcomes]
+def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[np.ndarray, list]:
+    """The seeds' duals as one (B, K, n) stack, with one outcome per dual.
+
+    An outcome is the dual's DualCertificate, or the exception that stopped
+    it, whose slice of the stack then holds no dual. A step of the whole
+    stack that fails raises; generators.in_batches then redoes it seed by seed.
+    """
+    duals = _perturbed_duals(lam, magnitude, seeds)
     outcomes = []
-    for finite, cert in zip(np.isfinite(duals).all(axis=(1, 2)).tolist(), certificates):
+    for finite, cert in zip(np.isfinite(duals).all(axis=(1, 2)).tolist(), dual_certificates(lam, duals)):
         try:
             if not finite:
                 raise FrameOverflowError(
@@ -65,20 +64,6 @@ def _dual_batch(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[np.nda
         else:
             outcomes.append(cert)
     return duals, outcomes
-
-
-def alternate_dual_batches(lam: GFrame, magnitude: float, seeds):
-    """The duals of random_alternate_duals, one stacked batch at a time.
-
-    Yields (duals, outcomes) for each batch of at most generators.BATCH_BYTES
-    of T: outcomes[i] is the DualCertificate of seed i's dual, the K x n
-    slice duals[i], or the exception that stopped seed i, whose slice then
-    holds no dual.
-    """
-    seeds = list(seeds)
-    size = max(1, generators.BATCH_BYTES // (16 * lam.stacked.size))
-    for start in range(0, len(seeds), size):
-        yield _dual_batch(lam, magnitude, seeds[start : start + size])
 
 
 def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
@@ -94,11 +79,18 @@ def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
     either with generators.unwrap): FrameOverflowError when the perturbation
     overflows, and NotADualError when round-off at a huge magnitude breaks
     the equation. The draws, the projection and the dual-equation check run
-    as stacked products in batches of at most generators.BATCH_BYTES of T.
+    as stacked products (`certified_duals`), in the batches of
+    generators.in_batches.
     """
-    for duals, outcomes in alternate_dual_batches(lam, magnitude, seeds):
-        for dual, outcome in zip(duals, outcomes):
-            yield GFrame.from_stacked(dual, like=lam) if isinstance(outcome, DualCertificate) else outcome
+
+    def build(batch: list[int]) -> list:
+        duals, outcomes = certified_duals(lam, magnitude, batch)
+        return [
+            GFrame.from_stacked(dual, like=lam) if isinstance(outcome, DualCertificate) else outcome
+            for dual, outcome in zip(duals, outcomes)
+        ]
+
+    yield from generators.in_batches(build, seeds, 16 * lam.stacked.size)
 
 
 def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:

@@ -13,8 +13,8 @@ from .model import GFrame, canonical_parseval, stacked_frames, validate_frame
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
-# A batch of random frames holds at most this many bytes of stacked T
-# (K * n * 16 per frame). Batching pays on small frames, where per-call
+# A batch of in_batches holds at most this many bytes of stacked T (K * n * 16
+# per random frame or dual). Batching pays on small frames, where per-call
 # overhead dominates; a batch's temporaries peak at a few times its T, so a
 # larger budget would raise peak memory without saving time on large frames.
 BATCH_BYTES = 1 << 17
@@ -35,10 +35,32 @@ def _check_params(n: int, counts) -> tuple[int, ...]:
 
 
 def unwrap(outcome):
-    """The value of one outcome of random_parseval_gframes; raises the exception it holds."""
+    """The value of one outcome of in_batches; raises the exception it holds."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def in_batches(build, items, item_bytes: int):
+    """Yield build's outcome for each item, in order, building batches of at most BATCH_BYTES.
+
+    build(batch) returns one outcome per item of the batch: a value, or the
+    exception that stopped that item (read either with `unwrap`). A batch
+    holds max(1, BATCH_BYTES // item_bytes) items. When a whole build raises,
+    its items are built again one at a time, so each exception stays with
+    its own item.
+    """
+    items = list(items)
+    size = max(1, BATCH_BYTES // item_bytes)
+    for start in range(0, len(items), size):
+        batch = items[start : start + size]
+        try:
+            outcomes = build(batch)
+        except Exception as exc:  # a stacked step failed: redo item by item to find whose error it is
+            outcomes = [exc] if len(batch) == 1 else [
+                outcome for item in batch for outcome in in_batches(build, [item], item_bytes)]
+        yield from outcomes
+        del outcomes  # free this batch before the next one is built
 
 
 def _random_gframes(n: int, counts: tuple[int, ...], seeds: list[int]) -> list:
@@ -87,36 +109,27 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
     return _random_gframe(n, counts, seed)[0]
 
 
-def _parseval_batch(n: int, counts: tuple[int, ...], seeds: list[int]) -> list:
-    try:
-        drawn = _random_gframes(n, counts, seeds)
-    except Exception as exc:  # a stacked step failed: rebuild seed by seed to find whose error it is
-        if len(seeds) == 1:
-            return [exc]
-        return [outcome for seed in seeds for outcome in _parseval_batch(n, counts, [seed])]
-    outcomes = []
-    for outcome in drawn:
-        try:
-            outcomes.append(canonical_parseval(unwrap(outcome)[0]))
-        except Exception as exc:  # the error belongs to this seed alone
-            outcomes.append(exc)
-    return outcomes
-
-
 def random_parseval_gframes(n: int, counts, seeds):
     """Canonical Parseval transforms of random Gaussian frames, one per seed, in seed order.
 
     Yields, for each seed, the frame random_parseval_gframe(n, counts, seed)
     returns, or the exception it raises, so a failure stays with its seed
-    (read either with `unwrap`). The frames are drawn and decomposed in
-    stacked batches of at most BATCH_BYTES of T, built as the iteration
-    reaches them.
+    (read either with `unwrap`). The frames are drawn and decomposed as
+    stacks, in the batches of `in_batches`, built as the iteration reaches
+    them.
     """
     counts = _check_params(n, counts)
-    seeds = list(seeds)
-    size = max(1, BATCH_BYTES // (16 * sum(counts) * n))
-    for start in range(0, len(seeds), size):
-        yield from _parseval_batch(n, counts, seeds[start : start + size])
+
+    def build(batch: list[int]) -> list:
+        outcomes = []
+        for outcome in _random_gframes(n, counts, batch):
+            try:
+                outcomes.append(canonical_parseval(unwrap(outcome)[0]))
+            except Exception as exc:  # the error belongs to this seed alone
+                outcomes.append(exc)
+        return outcomes
+
+    yield from in_batches(build, seeds, 16 * sum(counts) * n)
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:

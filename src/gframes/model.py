@@ -74,11 +74,11 @@ class GFrame:
         t = np.array(stacked, dtype=np.complex128)
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValueError(f"stacked operators must form a matrix with columns, got shape {t.shape}")
+        if (counts is None) == (like is None):
+            raise ValueError("give counts or like, not both" if like is not None else "give counts or like")
         f = cls.__new__(cls)
         if like is None:
             f._setup(t, counts)
-        elif counts is not None:
-            raise ValueError("give counts or like, not both")
         else:
             f._setup(t, like._counts, like._offsets)
         return f

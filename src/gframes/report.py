@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import alternate_dual_batches, dual_proximity_bound, parseval_proximity_bound, verify_alternate_dual
-from .generators import random_parseval_gframes, unwrap
+from .duals import certified_duals, dual_proximity_bound, parseval_proximity_bound, verify_alternate_dual
+from .generators import in_batches, random_parseval_gframes, unwrap
 from .identities import (
     canonical_dual_gap,
     frobenius_dual_decomposition,
@@ -29,6 +29,7 @@ from .identities import (
 )
 from .linalg import frobenius_norm_sq, trace
 from .model import (
+    DualCertificate,
     GFrame,
     canonical_dual,
     canonical_parseval,
@@ -222,50 +223,41 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     _guard(checks, "frobenius-dual-closed-form", closed_form_row)
 
+    def build(batch: list) -> list:
+        """Per trial: its certificate and Frobenius and pointwise terms, or the exception that stopped it."""
+        duals, outcomes = certified_duals(f, 1.0, [child for child, _ in batch])
+        kept = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, DualCertificate)]
+        if kept:  # one stacked call per identity, on the certified duals only
+            # A batch whose duals all hold goes in whole: copying it cost ~4 % of
+            # ops_per_s on the verify-vectors-n4 benchmark workload.
+            stack = duals if len(kept) == len(duals) else duals[kept]
+            probes = np.array([batch[b][1] for b in kept]).T
+            total, canonical_term, residual = frobenius_dual_decomposition(f, stack)
+            ptotal, pcanon, pres = pointwise_dual_decomposition(f, stack, probes)
+            for b, t, r, pt, pc, pr in zip(kept, total.tolist(), residual.tolist(),
+                                           ptotal.tolist(), pcanon.tolist(), pres.tolist()):
+                outcomes[b] = (outcomes[b], (t, canonical_term, r), (pt, pc, pr))
+        return outcomes
+
     # Every trial's (seed, probe) pair is drawn before any dual, so trial j's draws depend on (seed, j) alone.
     drawn = [(_child_seed(master), probe()) for _ in range(trials)]
-    j = 0
-    for duals, outcomes in alternate_dual_batches(f, 1.0, [child for child, _ in drawn]):
-        probes = np.array([x for _, x in drawn[j : j + len(outcomes)]])
-        for outcome, terms in zip(outcomes, _dual_terms(f, duals, probes)):
-            def trial_rows(j=j, outcome=outcome, terms=terms):
-                cert = unwrap(outcome)
-                (total, canonical_term, residual), (ptotal, pcanon, pres) = unwrap(terms)
-                return [
-                    at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance),
-                    equality_check(
-                        f"frobenius-dual-identity[trial={j}]",
-                        total, canonical_term + residual, 1e-7 * (1.0 + total)),
-                    equality_check(
-                        f"pointwise-dual-identity[trial={j}]",
-                        ptotal, pcanon + pres, 1e-8 * (1.0 + ptotal)),
-                    at_least_check(
-                        f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)),
-                ]
+    for j, outcome in enumerate(in_batches(build, drawn, 16 * f.stacked.size)):
+        def trial_rows(j=j, outcome=outcome):
+            cert, (total, canonical_term, residual), (ptotal, pcanon, pres) = unwrap(outcome)
+            return [
+                at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance),
+                equality_check(
+                    f"frobenius-dual-identity[trial={j}]",
+                    total, canonical_term + residual, 1e-7 * (1.0 + total)),
+                equality_check(
+                    f"pointwise-dual-identity[trial={j}]",
+                    ptotal, pcanon + pres, 1e-8 * (1.0 + ptotal)),
+                at_least_check(
+                    f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)),
+            ]
 
-            _guard(checks, f"dual-trial[trial={j}]", trial_rows)
-            j += 1
+        _guard(checks, f"dual-trial[trial={j}]", trial_rows)
     return checks
-
-
-def _dual_terms(f: GFrame, duals: np.ndarray, probes: np.ndarray) -> list:
-    """Per dual of the (B, K, n) stack: its Frobenius and pointwise (at probes[b]) decomposition terms.
-
-    One stacked call per identity; a dual whose calls raise gets that
-    exception in place of its terms, the others keep theirs.
-    """
-    try:
-        total, canonical, residual = frobenius_dual_decomposition(f, duals)
-        ptotal, pcanon, pres = pointwise_dual_decomposition(f, duals, probes.T)
-    except Exception as exc:  # a stacked call failed: redo dual by dual to find whose error it is
-        if len(duals) == 1:
-            return [exc]
-        return [t for b in range(len(duals)) for t in _dual_terms(f, duals[b : b + 1], probes[b : b + 1])]
-    return [
-        ((t, canonical, r), (pt, pc, pr))
-        for t, r, pt, pc, pr in zip(
-            total.tolist(), residual.tolist(), ptotal.tolist(), pcanon.tolist(), pres.tolist())
-    ]
 
 
 def bounds_suite(f: GFrame) -> list[CheckResult]:

@@ -13,6 +13,7 @@ from gframes.linalg import RANK_TOLERANCE, frobenius_norm
 from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
     embed_vector_frame,
+    in_batches,
     nearly_parseval_gframe,
     random_gframe,
     random_parseval_gframe,
@@ -191,6 +192,57 @@ def reference_companion(n, counts, seed, first_substream=0):
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestInBatches:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        count=st.integers(min_value=0, max_value=12),
+        item_bytes=st.integers(min_value=1, max_value=64),
+        budget=st.integers(min_value=1, max_value=256),
+        raising=st.sets(st.integers(min_value=0, max_value=11)),
+        stopped=st.sets(st.integers(min_value=0, max_value=11)),
+    )
+    def test_outcomes_equal_building_each_item_alone(self, count, item_bytes, budget, raising, stopped):
+        # A build raises when its batch holds an item of `raising`; an item of
+        # `stopped` gets an exception as its outcome without stopping the batch.
+        calls = []
+
+        def build(batch):
+            calls.append(list(batch))
+            for item in batch:
+                if item in raising:
+                    raise RuntimeError(f"item {item}")
+            return [ValueError(f"item {item}") if item in stopped else 10 * item for item in batch]
+
+        def alone(item):
+            try:
+                (outcome,) = build([item])
+            except RuntimeError as exc:
+                return exc
+            return outcome
+
+        def described(outcome):
+            return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
+
+        items = list(range(count))
+        with mock.patch.object(generators, "BATCH_BYTES", budget):
+            outcomes = in_batches(build, iter(items), item_bytes)
+            assert calls == []  # nothing is built before the iteration reaches it
+            got = list(outcomes)
+        built, calls = calls, []
+        assert [described(o) for o in got] == [described(alone(item)) for item in items]
+        # Batches of at most the budget cover the items in order; a batch whose
+        # build raised is followed by its items built one at a time.
+        size = max(1, budget // item_bytes)
+        want = []
+        for start in range(0, count, size):
+            batch = items[start : start + size]
+            want.append(batch)
+            if len(batch) > 1 and raising.intersection(batch):
+                want.extend([item] for item in batch)
+        assert built == want
+        assert all(len(batch) * item_bytes <= budget or len(batch) == 1 for batch in built)
 
 
 class TestRandomParsevalBatches:

@@ -68,6 +68,14 @@ class TestGFrame:
         assert f.dim_h == 3
         assert len(f) == 2
 
+    def test_from_stacked_needs_counts_or_like(self):
+        like = GFrame.from_stacked(np.eye(3), (1, 2))
+        with pytest.raises(ValueError, match="^give counts or like$"):
+            GFrame.from_stacked(np.eye(3))
+        with pytest.raises(ValueError, match="^give counts or like, not both$"):
+            GFrame.from_stacked(np.eye(3), (1, 2), like=like)
+        assert GFrame.from_stacked(2 * np.eye(3), like=like).counts == (1, 2)
+
 
 class TestFrameOperator:
     def test_single_identity_operator(self):

@@ -239,6 +239,61 @@ class TestDualBatches:
         assert [c for c in bad.checks if "[error: " not in c.name] == [
             c for c in good.checks if not c.name.endswith("[trial=2]") or "dual" not in c.name]
 
+    @pytest.mark.parametrize("per_batch", [None, 2])
+    def test_failed_stacked_terms_are_only_their_own_row(self, monkeypatch, per_batch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        if per_batch:
+            monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+        real = report.frobenius_dual_decomposition
+        trial_duals = []
+
+        def recording(lam, gam):
+            if not isinstance(gam, GFrame):
+                trial_duals.extend(np.array(gam))
+            return real(lam, gam)
+
+        monkeypatch.setattr(report, "frobenius_dual_decomposition", recording)
+        good = run_suite(f, "all", trials=4, seed=7)
+        third = trial_duals[2]  # the dual built for dual-trial[trial=2]
+
+        def flaky(lam, gam):
+            if not isinstance(gam, GFrame) and any(np.array_equal(d, third) for d in gam):
+                raise PostconditionError("injected")
+            return real(lam, gam)
+
+        monkeypatch.setattr(report, "frobenius_dual_decomposition", flaky)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        assert [c.name for c in bad.checks if "[error: " in c.name] == [
+            "dual-trial[trial=2] [error: PostconditionError: injected]"]
+        assert [c for c in bad.checks if "[error: " not in c.name] == [
+            c for c in good.checks if not c.name.endswith("[trial=2]") or "dual" not in c.name]
+
+    def test_failed_duals_make_no_redo_calls(self, monkeypatch):
+        # Every dual-trial row of this frame errors today (an absolute
+        # perturbation against a dual of size 1e-8), so the only calls left are
+        # the canonical rows', one per identity.
+        f = scaled_golden_frame(1e8)
+        want = run_suite(f, "duals", trials=10, seed=7)
+        calls = {"frobenius": 0, "pointwise": 0}
+        real_frobenius = report.frobenius_dual_decomposition
+        real_pointwise = report.pointwise_dual_decomposition
+
+        def frobenius(*args):
+            calls["frobenius"] += 1
+            return real_frobenius(*args)
+
+        def pointwise(*args):
+            calls["pointwise"] += 1
+            return real_pointwise(*args)
+
+        monkeypatch.setattr(report, "frobenius_dual_decomposition", frobenius)
+        monkeypatch.setattr(report, "pointwise_dual_decomposition", pointwise)
+        got = run_suite(scaled_golden_frame(1e8), "duals", trials=10, seed=7)
+        assert got.checks == want.checks
+        # All 10 trials fit one batch: one stacked call per identity once any dual is certified.
+        certified = any(c.name.startswith("dual-equation[trial=") for c in got.checks)
+        assert calls == {"frobenius": 1 + certified, "pointwise": 1 + certified}
+
     def test_trial_draws_depend_on_seed_and_index_alone(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         long = run_suite(f, "duals", trials=7, seed=5)
