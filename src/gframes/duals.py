@@ -110,6 +110,11 @@ def _require_epsilon(f: GFrame) -> tuple[float, float, int]:
     return eps, min(bounds.lower, 2.0 - bounds.upper), f.dim_h
 
 
+def proximity_slack(n: int) -> float:
+    """Slack of both proximity bounds: gap <= bound + proximity_slack(n)."""
+    return 1e-9 * n
+
+
 def parseval_proximity_bound(g: GFrame) -> tuple[float, float]:
     """Distance to the canonical Parseval family against its optimal ceiling.
 
@@ -127,7 +132,7 @@ def parseval_proximity_bound(g: GFrame) -> tuple[float, float]:
             f"binding side inverted: shrink {shrink!r} < stretch {stretch!r}"
         )
     bound = n * shrink * shrink
-    if gap > bound + 1e-9 * n:
+    if gap > bound + proximity_slack(n):
         raise PostconditionError(
             f"proximity bound violated: gap {gap!r} exceeds bound {bound!r}"
         )
@@ -143,7 +148,7 @@ def dual_proximity_bound(g: GFrame) -> tuple[float, float]:
     eps, margin, n = _require_epsilon(g)
     gap = canonical_dual_gap(g)
     bound = n * eps * eps / margin if eps > 0.0 else 0.0
-    if gap > bound + 1e-9 * n:
+    if gap > bound + proximity_slack(n):
         raise PostconditionError(
             f"dual proximity bound violated: gap {gap!r} exceeds bound {bound!r}"
         )

@@ -3,9 +3,13 @@
 Every operation returns the computed terms so callers can report residuals;
 pass/fail at a tolerance is the caller's job. Each operation also checks its
 own terms against each other and raises PostconditionError when they
-disagree. That check uses the same tolerance as the matching row of the
-verification report, so a drift shows there as an error row (lhs = rhs = 0,
-tolerance -1), never as a FAIL row carrying the values.
+disagree. The band of that check is one function of the terms, defined
+beside the operation (`*_tolerance`), and the matching row of the
+verification report calls the same function, so a drift shows there as an
+error row (lhs = rhs = 0, tolerance -1), never as a FAIL row carrying the
+values. The Parseval rule is model.parseval_tolerance, the slack of both
+proximity bounds is duals.proximity_slack, and report rows with no identity
+behind them keep their own tolerance in report.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import numpy as np
 
 from .errors import FrameOverflowError, NotParsevalError, PostconditionError
 from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq, trace
-from .model import (  # DUAL_TOLERANCE is re-exported here
-    DUAL_TOLERANCE,
+from .model import (
     PARSEVAL_TOLERANCE,
     GFrame,
     canonical_dual,
@@ -23,6 +26,7 @@ from .model import (  # DUAL_TOLERANCE is re-exported here
     dual_certificates,
     frame_operator,
     parseval_defect,
+    parseval_tolerance,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
@@ -32,7 +36,7 @@ from .model import (  # DUAL_TOLERANCE is re-exported here
 
 def require_parseval(g: GFrame, name: str = "frame") -> None:
     defect = parseval_defect(g)
-    if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
+    if not defect <= parseval_tolerance(g):
         raise NotParsevalError(
             f"{name} is not Parseval: ||S - I||_F = {defect:.3e} exceeds "
             f"{PARSEVAL_TOLERANCE:.0e} * n",
@@ -72,6 +76,11 @@ def _check_each(conditions: np.ndarray, message) -> None:
         raise PostconditionError(message(int(failed[0])))
 
 
+def weighted_energy_tolerance(closed: float) -> float:
+    """Band of parseval_weighted_energy around its closed form ||W||_F^2."""
+    return 1e-8 * (1.0 + closed)
+
+
 def parseval_weighted_energy(weight, g: GFrame) -> float:
     """Sum of ||W adjoint(op)||_F^2 over a Parseval family.
 
@@ -85,10 +94,15 @@ def parseval_weighted_energy(weight, g: GFrame) -> float:
     value = frobenius_norm_sq(g.stacked @ w.conj().T)
     closed = frobenius_norm_sq(w)
     _check(
-        abs(value - closed) <= 1e-8 * (1.0 + closed),
+        abs(value - closed) <= weighted_energy_tolerance(closed),
         f"weighted energy {value!r} drifted from ||W||_F^2 = {closed!r}",
     )
     return value
+
+
+def parseval_budget_tolerance(n: int) -> float:
+    """Band of parseval_frobenius_budget around the dimension n."""
+    return 1e-8 * n
 
 
 def parseval_frobenius_budget(g: GFrame) -> float:
@@ -96,8 +110,16 @@ def parseval_frobenius_budget(g: GFrame) -> float:
     require_parseval(g)
     value = total_frobenius_energy(g)
     n = g.dim_h
-    _check(abs(value - n) <= 1e-8 * n, f"Parseval energy budget {value!r} is not n = {n}")
+    _check(
+        abs(value - n) <= parseval_budget_tolerance(n),
+        f"Parseval energy budget {value!r} is not n = {n}",
+    )
     return value
+
+
+def power_trace_tolerance(rhs: float) -> float:
+    """Band of power_trace_identity around its trace side rhs."""
+    return 1e-8 * (1.0 + abs(rhs))
 
 
 def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
@@ -116,10 +138,15 @@ def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
             f"frame is too large: the power-trace terms at a = {a} overflow double precision"
         )
     _check(
-        abs(lhs - rhs) <= 1e-8 * (1.0 + rhs),
+        abs(lhs - rhs) <= power_trace_tolerance(rhs),
         f"power-trace identity drifted: lhs {lhs!r} vs rhs {rhs!r} at a = {a}",
     )
     return lhs, rhs
+
+
+def parseval_approx_tolerance(total: float) -> float:
+    """Band of parseval_approx_decomposition: total against canonical_gap + cross_term."""
+    return 1e-7 * (1.0 + total)
 
 
 def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float, float]:
@@ -141,25 +168,36 @@ def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, floa
     canonical_gap = frobenius_norm_sq(a - canonical_parseval(lam).stacked)
     cross_term = frobenius_norm_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
     _check(
-        abs(total - canonical_gap - cross_term) <= 1e-7 * (1.0 + total),
+        abs(total - canonical_gap - cross_term) <= parseval_approx_tolerance(total),
         f"decomposition drifted: {total!r} vs {canonical_gap!r} + {cross_term!r}",
     )
     return total, canonical_gap, cross_term
+
+
+def parseval_gap_tolerance(value: float) -> float:
+    """Band of parseval_gap: its definition value against spectral_parseval_gap."""
+    return 1e-8 * (1.0 + value)
 
 
 def parseval_gap(lam: GFrame) -> float:
     """Frobenius distance (squared) from a frame to its canonical Parseval family.
 
     Computed from the definition sum and cross-checked against the spectral
-    closed form sum_k (sqrt(lambda_k) - 1)^2.
+    closed form (spectral_parseval_gap).
     """
     value = frobenius_norm_sq(lam.stacked - canonical_parseval(lam).stacked)
-    closed = float(np.sum((np.sqrt(frame_operator(lam).eig.eigenvalues) - 1.0) ** 2))
+    closed = spectral_parseval_gap(lam)
     _check(
-        abs(value - closed) <= 1e-8 * (1.0 + value),
+        abs(value - closed) <= parseval_gap_tolerance(value),
         f"gap paths disagree: definition {value!r} vs spectral {closed!r}",
     )
     return value
+
+
+def spectral_parseval_gap(lam: GFrame) -> float:
+    """Spectral form sum_k (sqrt(lambda_k) - 1)^2 of the distance to the canonical Parseval family."""
+    validate_frame(lam)
+    return float(np.sum((np.sqrt(frame_operator(lam).eig.eigenvalues) - 1.0) ** 2))
 
 
 def canonical_dual_gap(lam: GFrame) -> float:
@@ -168,6 +206,11 @@ def canonical_dual_gap(lam: GFrame) -> float:
     lam_k = frame_operator(lam).eig.eigenvalues
     # Dividing before multiplying keeps (lambda - 1)^2 from overflowing at large lambda.
     return float(np.sum((lam_k - 1.0) * ((lam_k - 1.0) / lam_k)))
+
+
+def pointwise_dual_tolerance(total):
+    """Band of pointwise_dual_decomposition: total against canonical + residual (entrywise)."""
+    return 1e-8 * (1.0 + total)
 
 
 def pointwise_dual_decomposition(lam: GFrame, gam, x):
@@ -204,13 +247,23 @@ def pointwise_dual_decomposition(lam: GFrame, gam, x):
     residual = np.sum(np.abs(can_x - gam_x) ** 2, axis=(-2, -1))
     total, canonical, residual = np.broadcast_arrays(total, canonical, residual)
     _check_each(
-        abs(total - canonical - residual) <= 1e-8 * (1.0 + total),
+        abs(total - canonical - residual) <= pointwise_dual_tolerance(total),
         lambda i: f"pointwise decomposition drifted: {float(total[i])!r} vs "
         f"{float(canonical[i])!r} + {float(residual[i])!r}",
     )
     if single:
         return float(total[0]), float(canonical[0]), float(residual[0])
     return total, canonical, residual
+
+
+def frobenius_dual_tolerance(total):
+    """Band of frobenius_dual_decomposition: total against canonical + residual (entrywise)."""
+    return 1e-7 * (1.0 + total)
+
+
+def dual_closed_form_tolerance(canonical: float) -> float:
+    """Band of frobenius_dual_decomposition: its canonical term against canonical_dual_gap."""
+    return 1e-8 * (1.0 + canonical)
 
 
 def frobenius_dual_decomposition(lam: GFrame, gam):
@@ -236,13 +289,13 @@ def frobenius_dual_decomposition(lam: GFrame, gam):
     canonical = frobenius_norm_sq(a - c)
     residual = frobenius_norms_sq(c - b)
     _check_each(
-        abs(total - canonical - residual) <= 1e-7 * (1.0 + total),
+        abs(total - canonical - residual) <= frobenius_dual_tolerance(total),
         lambda i: f"dual decomposition drifted: {float(total[i])!r} vs {canonical!r} + "
         f"{float(residual[i])!r}",
     )
     closed = canonical_dual_gap(lam)
     _check(
-        abs(canonical - closed) <= 1e-8 * (1.0 + canonical),
+        abs(canonical - closed) <= dual_closed_form_tolerance(canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",
     )
     if isinstance(gam, GFrame):

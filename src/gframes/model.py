@@ -26,7 +26,7 @@ from .linalg import (
     matrix_power_eig,
 )
 
-# Families qualify as Parseval when ||S - I||_F <= PARSEVAL_TOLERANCE * n.
+# Families qualify as Parseval when ||S - I||_F is at most this times n (parseval_tolerance).
 PARSEVAL_TOLERANCE = 1e-6
 # Alternate duals must satisfy ||sum adjoint(lam_i) gam_i - I||_F <= DUAL_TOLERANCE * n.
 DUAL_TOLERANCE = 1e-8
@@ -260,6 +260,11 @@ def parseval_defect(g: GFrame) -> float:
     return frobenius_norm(s - np.eye(g.dim_h))
 
 
+def parseval_tolerance(g: GFrame) -> float:
+    """The Parseval rule: g qualifies as Parseval when parseval_defect(g) is at most this."""
+    return PARSEVAL_TOLERANCE * g.dim_h
+
+
 def analysis_apply(f: GFrame, x) -> list[np.ndarray]:
     """The coefficient family (op @ x) for each operator."""
     vec = as_vector(x, f.dim_h, "x")
@@ -278,13 +283,13 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
 def canonical_parseval(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1/2); the result has frame operator I.
 
-    Raises PostconditionError when the result misses ||S' - I||_F <=
-    PARSEVAL_TOLERANCE * n; S' stays cached on the returned frame.
+    Raises PostconditionError when the result misses the Parseval rule
+    (parseval_tolerance); S' stays cached on the returned frame.
     """
     if f._parseval is None:
         g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), like=f)
         defect = parseval_defect(g)
-        if not defect <= PARSEVAL_TOLERANCE * g.dim_h:
+        if not defect <= parseval_tolerance(g):
             raise PostconditionError(
                 f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defect:.3e} "
                 f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"

@@ -15,17 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import certified_duals, dual_proximity_bound, parseval_proximity_bound, verify_alternate_dual
+from .duals import (
+    certified_duals,
+    dual_proximity_bound,
+    parseval_proximity_bound,
+    proximity_slack,
+    verify_alternate_dual,
+)
 from .generators import in_batches, random_parseval_gframes, unwrap
 from .identities import (
     canonical_dual_gap,
+    dual_closed_form_tolerance,
     frobenius_dual_decomposition,
+    frobenius_dual_tolerance,
     parseval_approx_decomposition,
+    parseval_approx_tolerance,
+    parseval_budget_tolerance,
     parseval_frobenius_budget,
     parseval_gap,
+    parseval_gap_tolerance,
     parseval_weighted_energy,
     pointwise_dual_decomposition,
+    pointwise_dual_tolerance,
     power_trace_identity,
+    power_trace_tolerance,
+    spectral_parseval_gap,
+    weighted_energy_tolerance,
 )
 from .linalg import frobenius_norm_sq, trace
 from .model import (
@@ -115,14 +130,15 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     def budget_row():
         value = parseval_frobenius_budget(canonical_parseval(f))
-        return equality_check("parseval-budget-canonical", value, float(n), 1e-8 * n)
+        return equality_check(
+            "parseval-budget-canonical", value, float(n), parseval_budget_tolerance(n))
 
     _guard(checks, "parseval-budget-canonical", budget_row)
 
     for a in POWER_EXPONENTS:
         def power_row(a=a):
             lhs, rhs = power_trace_identity(f, a)
-            return equality_check(f"power-trace[a={a}]", lhs, rhs, 1e-8 * (1.0 + abs(rhs)))
+            return equality_check(f"power-trace[a={a}]", lhs, rhs, power_trace_tolerance(rhs))
 
         _guard(checks, f"power-trace[a={a}]", power_row)
 
@@ -135,7 +151,7 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
             value = parseval_weighted_energy(weight, unwrap(companion))
             values.append(value)
             return equality_check(
-                f"weighted-energy[trial={j}]", value, weight_sq, 1e-8 * (1.0 + weight_sq))
+                f"weighted-energy[trial={j}]", value, weight_sq, weighted_energy_tolerance(weight_sq))
 
         _guard(checks, f"weighted-energy[trial={j}]", energy_row)
     if values:
@@ -151,11 +167,12 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
     master = stream(seed, substream=2)
     n = f.dim_h
 
-    gap = parseval_gap(f)
-    eig = frame_operator(f).eig
-    spectral = float(np.sum((np.sqrt(eig.eigenvalues) - 1.0) ** 2))
-    _guard(checks, "parseval-gap-two-path", lambda: equality_check(
-        "parseval-gap-two-path", gap, spectral, 1e-8 * (1.0 + gap)))
+    def gap_row():
+        gap = parseval_gap(f)
+        return equality_check(
+            "parseval-gap-two-path", gap, spectral_parseval_gap(f), parseval_gap_tolerance(gap))
+
+    _guard(checks, "parseval-gap-two-path", gap_row)
 
     def canonical_rows():
         total, canonical_gap, cross = parseval_approx_decomposition(f, canonical_parseval(f))
@@ -175,12 +192,14 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
             totals.append(total)
             return equality_check(
                 f"parseval-approx-identity[trial={j}]",
-                total, canonical_gap + cross, 1e-7 * (1.0 + total))
+                total, canonical_gap + cross, parseval_approx_tolerance(total))
 
         _guard(checks, f"parseval-approx-identity[trial={j}]", identity_row)
     if totals:
+        # parseval_gap again, not the row above's value, so a gap that cannot be
+        # computed errors this row with its own exception.
         _guard(checks, "parseval-gap-minimality", lambda: at_least_check(
-            "parseval-gap-minimality", min(totals), gap, 1e-9))
+            "parseval-gap-minimality", min(totals), parseval_gap(f), 1e-9))
     return checks
 
 
@@ -217,7 +236,7 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
             at_most_check("frobenius-dual-canonical-residual", residual, 0.0, 1e-9),
             equality_check(
                 "frobenius-dual-closed-form",
-                canonical_term, canonical_dual_gap(f), 1e-8 * (1.0 + canonical_term)),
+                canonical_term, canonical_dual_gap(f), dual_closed_form_tolerance(canonical_term)),
         ]
         return rows
 
@@ -248,10 +267,10 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
                 at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance),
                 equality_check(
                     f"frobenius-dual-identity[trial={j}]",
-                    total, canonical_term + residual, 1e-7 * (1.0 + total)),
+                    total, canonical_term + residual, frobenius_dual_tolerance(total)),
                 equality_check(
                     f"pointwise-dual-identity[trial={j}]",
-                    ptotal, pcanon + pres, 1e-8 * (1.0 + ptotal)),
+                    ptotal, pcanon + pres, pointwise_dual_tolerance(ptotal)),
                 at_least_check(
                     f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)),
             ]
@@ -274,11 +293,11 @@ def bounds_suite(f: GFrame) -> list[CheckResult]:
 
     def parseval_row():
         gap, bound = parseval_proximity_bound(f)
-        return at_most_check("parseval-proximity-bound", gap, bound, 1e-9 * n)
+        return at_most_check("parseval-proximity-bound", gap, bound, proximity_slack(n))
 
     def dual_row():
         gap, bound = dual_proximity_bound(f)
-        return at_most_check("dual-proximity-bound", gap, bound, 1e-9 * n)
+        return at_most_check("dual-proximity-bound", gap, bound, proximity_slack(n))
 
     _guard(checks, "parseval-proximity-bound", parseval_row)
     _guard(checks, "dual-proximity-bound", dual_row)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from gframes.errors import FrameOverflowError, NotADualError, NotAFrameError, NotParsevalError
+from gframes import duals, identities, model
+from gframes.errors import (
+    FrameOverflowError,
+    NotADualError,
+    NotAFrameError,
+    NotParsevalError,
+    PostconditionError,
+)
 from gframes.linalg import frobenius_norm_sq
 from gframes.identities import (
     canonical_dual_gap,
@@ -14,8 +21,9 @@ from gframes.identities import (
     parseval_weighted_energy,
     pointwise_dual_decomposition,
     power_trace_identity,
+    require_parseval,
 )
-from gframes.duals import random_alternate_dual
+from gframes.duals import dual_proximity_bound, parseval_proximity_bound, random_alternate_dual
 from gframes.generators import (
     embed_vector_frame,
     nearly_parseval_gframe,
@@ -347,3 +355,45 @@ class TestPowerTraceOverflow:
         f = GFrame.from_stacked(1e77 * g.stacked, g.counts)
         lhs, rhs = power_trace_identity(f, -0.5)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def _np_frame():
+    return nearly_parseval_gframe(4, (2, 2, 2), 0.3, seed=1)
+
+
+class TestToleranceOwners:
+    """Each postcondition reads its band from the one function the report rows call."""
+
+    @pytest.mark.parametrize("module, owner, call", [
+        (identities, "weighted_energy_tolerance",
+         lambda f: parseval_weighted_energy(np.eye(4), canonical_parseval(f))),
+        (identities, "parseval_budget_tolerance",
+         lambda f: parseval_frobenius_budget(canonical_parseval(f))),
+        (identities, "power_trace_tolerance", lambda f: power_trace_identity(f, 0.5)),
+        (identities, "parseval_approx_tolerance",
+         lambda f: parseval_approx_decomposition(f, canonical_parseval(f))),
+        (identities, "parseval_gap_tolerance", parseval_gap),
+        (identities, "pointwise_dual_tolerance",
+         lambda f: pointwise_dual_decomposition(f, canonical_dual(f), np.ones(4))),
+        (identities, "frobenius_dual_tolerance",
+         lambda f: frobenius_dual_decomposition(f, canonical_dual(f))),
+        (identities, "dual_closed_form_tolerance",
+         lambda f: frobenius_dual_decomposition(f, canonical_dual(f))),
+        (duals, "proximity_slack", parseval_proximity_bound),
+        (duals, "proximity_slack", dual_proximity_bound),
+    ])
+    def test_postcondition_reads_its_owner(self, monkeypatch, module, owner, call):
+        call(_np_frame())  # holds with the owner in place
+        monkeypatch.setattr(module, owner, lambda *_: -1.0)
+        with pytest.raises(PostconditionError):
+            call(_np_frame())
+
+    def test_one_parseval_rule(self, monkeypatch):
+        companion = canonical_parseval(_np_frame())
+        monkeypatch.setattr(model, "PARSEVAL_TOLERANCE", -1.0)
+        with pytest.raises(NotParsevalError):
+            require_parseval(companion)
+        with pytest.raises(PostconditionError):
+            canonical_parseval(_np_frame())
+        monkeypatch.setattr(model, "PARSEVAL_TOLERANCE", 1.0)
+        require_parseval(_np_frame())  # ||S - I||_F <= 0.3 * sqrt(n), within 1.0 * n

@@ -13,7 +13,7 @@ from gframes.cli import main
 from gframes.duals import extremal_frame
 from gframes.errors import PostconditionError
 from gframes.generators import nearly_parseval_gframe, random_gframe
-from gframes.io import load_frame
+from gframes.io import load_frame, save_frame
 from gframes.model import GFrame
 from gframes.report import (
     _guard,
@@ -26,7 +26,8 @@ from gframes.report import (
     run_suite,
 )
 
-GOLDEN_NEARLY_PARSEVAL = Path(__file__).parent / "data" / "golden" / "nearly-parseval.frame.json"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_NEARLY_PARSEVAL = GOLDEN / "nearly-parseval.frame.json"
 
 
 def scaled_golden_frame(c):
@@ -172,6 +173,67 @@ class TestCanonicalDualFailure:
         assert "FAIL dual-equation-canonical [error: PostconditionError: " in out
         assert "PASS parseval-proximity-bound" in out
         assert out.rstrip().endswith("overall: FAIL")
+
+
+# Rows whose tolerance is also the band of an identity's postcondition, by name
+# before any "[", with the owner's value for the row (c) on a frame of dimension n.
+TWIN_ROWS = {
+    "parseval-budget-canonical": lambda c, n: identities.parseval_budget_tolerance(n),
+    "power-trace": lambda c, n: identities.power_trace_tolerance(c.rhs),
+    "weighted-energy": lambda c, n: identities.weighted_energy_tolerance(c.rhs),
+    "parseval-gap-two-path": lambda c, n: identities.parseval_gap_tolerance(c.lhs),
+    "parseval-approx-identity": lambda c, n: identities.parseval_approx_tolerance(c.lhs),
+    "frobenius-dual-closed-form": lambda c, n: identities.dual_closed_form_tolerance(c.lhs),
+    "frobenius-dual-identity": lambda c, n: identities.frobenius_dual_tolerance(c.lhs),
+    "pointwise-dual-identity": lambda c, n: identities.pointwise_dual_tolerance(c.lhs),
+    "parseval-proximity-bound": lambda c, n: duals.proximity_slack(n),
+    "dual-proximity-bound": lambda c, n: duals.proximity_slack(n),
+}
+
+
+def test_twin_rows_read_their_owner():
+    seen = set()
+    for path in sorted(GOLDEN.glob("*.frame.json")):
+        f = load_frame(path)
+        for c in run_suite(f, "all", trials=3, seed=7).checks:
+            base = c.name.split("[")[0]
+            if base in TWIN_ROWS:
+                assert c.tolerance == TWIN_ROWS[base](c, f.dim_h), (path.name, c)
+                seen.add(base)
+    assert seen == set(TWIN_ROWS)
+
+
+class TestParsevalGapFailure:
+    def test_failure_becomes_its_two_error_rows(self, monkeypatch):
+        good = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=3, seed=7)
+
+        def fail(f):
+            raise PostconditionError("gap paths disagree: injected")
+
+        monkeypatch.setattr(report, "parseval_gap", fail)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=3, seed=7)
+        assert [c.name for c in bad.checks if "[error: " in c.name] == [
+            "parseval-gap-two-path [error: PostconditionError: gap paths disagree: injected]",
+            "parseval-gap-minimality [error: PostconditionError: gap paths disagree: injected]",
+        ]
+        assert [c.name.split(" [error")[0] for c in bad.checks] == [c.name for c in good.checks]
+        kept = [c for c in bad.checks if "[error: " not in c.name]
+        assert kept == [c for c in good.checks if not c.name.startswith("parseval-gap-")]
+
+    def test_ill_conditioned_frame_keeps_its_report(self, tmp_path, capsys):
+        # n = 6, two 6 x 6 blocks, T = U diag(sigma) V* with kappa(S) = 9e9: the
+        # rank gate accepts it, but the gap's two paths disagree.
+        rng = np.random.default_rng(2)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        sigma = np.geomspace(1.0, 1.0 / np.sqrt(9e9), 6)
+        path = tmp_path / "kappa.frame.json"
+        save_frame(GFrame.from_stacked((u * sigma) @ v.conj().T, (6, 6)), path)
+        code = main(["verify", str(path), "--trials", "2", "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code in (0, 4)
+        assert err == ""
+        assert out.rstrip().endswith("overall: PASS" if code == 0 else "overall: FAIL")
 
 
 class TestCompanionBatches:
