@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or parse problems, 3 not a frame,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .duals import extremal_frame, random_alternate_dual, verify_alternate_dual
@@ -16,7 +17,7 @@ from .identities import canonical_dual_gap, parseval_gap
 from .io import load_frame, save_frame, write_frame
 from .linalg import frobenius_norm_sq, trace
 from .model import GFrame, canonical_dual, frame_operator, total_frobenius_energy, validate_frame
-from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_text, report_to_dict, run_suite
+from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_report_json, render_text, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,7 +115,7 @@ def cmd_verify(args) -> int:
     frame = load_frame(args.path)
     report = run_suite(frame, suite=args.suite, trials=args.trials, seed=args.seed)
     if args.json:
-        print(render_json(report_to_dict(report)))
+        print(render_report_json(report))
     else:
         print(render_text(report))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
@@ -175,10 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: building it costs as much as rendering a report."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

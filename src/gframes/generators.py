@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
-from .model import GFrame, canonical_parseval, stacked_frames, validate_frame
+from .model import GFrame, canonical_parseval, canonical_parseval_stack, stacked_frames, validate_frame
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
@@ -109,25 +109,38 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
     return _random_gframe(n, counts, seed)[0]
 
 
+def parseval_companions(n: int, counts, seeds: list[int]) -> tuple[np.ndarray | None, list]:
+    """Canonical Parseval transforms of the seeds' random Gaussian frames, as one stack.
+
+    Returns (companions, outcomes). outcomes[i] is None when seed i drew a
+    frame, and otherwise the GFrameError of a seed that never drew one.
+    companions holds the (B, K, n) analysis operators of the transforms of
+    the seeds that drew a frame, in seed order (None when no seed did). The
+    frames are drawn and decomposed as stacks, and their transforms come from
+    one model.canonical_parseval_stack call; when that raises, the whole call
+    raises, and in_batches redoes it seed by seed.
+    """
+    drawn = _random_gframes(n, _check_params(n, counts), seeds)
+    frames = [outcome[0] for outcome in drawn if not isinstance(outcome, Exception)]
+    outcomes = [outcome if isinstance(outcome, Exception) else None for outcome in drawn]
+    return (canonical_parseval_stack(frames)[0] if frames else None), outcomes
+
+
 def random_parseval_gframes(n: int, counts, seeds):
     """Canonical Parseval transforms of random Gaussian frames, one per seed, in seed order.
 
     Yields, for each seed, the frame random_parseval_gframe(n, counts, seed)
     returns, or the exception it raises, so a failure stays with its seed
-    (read either with `unwrap`). The frames are drawn and decomposed as
-    stacks, in the batches of `in_batches`, built as the iteration reaches
-    them.
+    (read either with `unwrap`). The frames are built by parseval_companions,
+    in the batches of `in_batches`, as the iteration reaches them.
     """
     counts = _check_params(n, counts)
 
     def build(batch: list[int]) -> list:
-        outcomes = []
-        for outcome in _random_gframes(n, counts, batch):
-            try:
-                outcomes.append(canonical_parseval(unwrap(outcome)[0]))
-            except Exception as exc:  # the error belongs to this seed alone
-                outcomes.append(exc)
-        return outcomes
+        companions, outcomes = parseval_companions(n, counts, batch)
+        made = iter(() if companions is None else companions)
+        return [GFrame.from_stacked(next(made), counts) if outcome is None else outcome
+                for outcome in outcomes]
 
     yield from in_batches(build, seeds, 16 * sum(counts) * n)
 

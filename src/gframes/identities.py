@@ -24,8 +24,10 @@ from .model import (
     canonical_dual,
     canonical_parseval,
     dual_certificates,
+    frame_matrices,
     frame_operator,
     parseval_defect,
+    parseval_defects,
     parseval_tolerance,
     require_matching_shapes,
     total_frobenius_energy,
@@ -34,14 +36,37 @@ from .model import (
 )
 
 
-def require_parseval(g: GFrame, name: str = "frame") -> None:
-    defect = parseval_defect(g)
-    if not defect <= parseval_tolerance(g):
+def _require_defects(defects, n: int, name: str) -> None:
+    """Raise NotParsevalError for the first defect ||S - I||_F that misses the Parseval rule."""
+    defects = np.atleast_1d(defects)
+    failed = np.flatnonzero(~(defects <= parseval_tolerance(n)))
+    if failed.size:
+        defect = float(defects[failed[0]])
         raise NotParsevalError(
             f"{name} is not Parseval: ||S - I||_F = {defect:.3e} exceeds "
             f"{PARSEVAL_TOLERANCE:.0e} * n",
             residual=defect,
         )
+
+
+def require_parseval(g: GFrame, name: str = "frame") -> None:
+    _require_defects(parseval_defect(g), g.dim_h, name)
+
+
+def require_parsevals(gam, name: str = "frame") -> np.ndarray:
+    """The analysis operators of gam as a (B, K, n) stack, once each is Parseval.
+
+    gam is a GFrame (B = 1) or a (B, K, n) stack of analysis operators.
+    Raises NotParsevalError for the first that misses the Parseval rule.
+    """
+    if isinstance(gam, GFrame):
+        require_parseval(gam, name)
+        return gam.stacked[np.newaxis]
+    families = np.asarray(gam, dtype=np.complex128)
+    if families.ndim != 3 or min(families.shape) < 1:
+        raise ValueError(f"a stack of families must have shape (B, K, n), got {families.shape}")
+    _require_defects(parseval_defects(frame_matrices(families)), families.shape[-1], name)
+    return families
 
 
 def require_alternate_dual(lam: GFrame, gam) -> np.ndarray:
@@ -81,23 +106,27 @@ def weighted_energy_tolerance(closed: float) -> float:
     return 1e-8 * (1.0 + closed)
 
 
-def parseval_weighted_energy(weight, g: GFrame) -> float:
+def parseval_weighted_energy(weight, g):
     """Sum of ||W adjoint(op)||_F^2 over a Parseval family.
 
     The value is independent of the particular Parseval family and equals
     ||W||_F^2; the weight must act on the domain, i.e. have dim_h columns.
+
+    g may also be a (B, K, n) stack of analysis operators of Parseval
+    families: the values then come back as a length-B array, entry b what
+    the call on family b alone returns.
     """
     w = as_matrix(weight, "weight")
-    if w.shape[1] != g.dim_h:
-        raise ValueError(f"weight must have {g.dim_h} columns, got {w.shape[1]}")
-    require_parseval(g)
-    value = frobenius_norm_sq(g.stacked @ w.conj().T)
+    families = require_parsevals(g)
+    if w.shape[1] != families.shape[-1]:
+        raise ValueError(f"weight must have {families.shape[-1]} columns, got {w.shape[1]}")
+    values = frobenius_norms_sq(families @ w.conj().T)
     closed = frobenius_norm_sq(w)
-    _check(
-        abs(value - closed) <= weighted_energy_tolerance(closed),
-        f"weighted energy {value!r} drifted from ||W||_F^2 = {closed!r}",
+    _check_each(
+        abs(values - closed) <= weighted_energy_tolerance(closed),
+        lambda i: f"weighted energy {float(values[i])!r} drifted from ||W||_F^2 = {closed!r}",
     )
-    return value
+    return float(values[0]) if isinstance(g, GFrame) else values
 
 
 def parseval_budget_tolerance(n: int) -> float:
@@ -149,7 +178,7 @@ def parseval_approx_tolerance(total: float) -> float:
     return 1e-7 * (1.0 + total)
 
 
-def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float, float]:
+def parseval_approx_decomposition(lam: GFrame, gam):
     """Split the Frobenius distance to a Parseval family into two non-negative sums.
 
     Returns (total, canonical_gap, cross_term):
@@ -158,19 +187,33 @@ def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, floa
       cross_term     sum ||gam_i S^(1/4) - lam_i S^(-1/4)||_F^2
     with total = canonical_gap + cross_term; the cross term vanishes exactly
     when gam is the canonical Parseval family of lam.
+
+    gam may also be a (B, K, n) stack of analysis operators of Parseval
+    families: total and cross_term then come back as length-B arrays, entry b
+    what the call on family b alone returns, and canonical_gap, which depends
+    on lam alone, as one float, built once.
     """
     validate_frame(lam)
-    require_parseval(gam, "second family")
-    require_matching_shapes(lam, gam)
+    b = require_parsevals(gam, "second family")
+    if isinstance(gam, GFrame):
+        require_matching_shapes(lam, gam)
+    elif b.shape[1:] != lam.stacked.shape:
+        raise ValueError(
+            f"a stack of families must have shape (B, {lam.stacked.shape[0]}, {lam.dim_h}), "
+            f"got {b.shape}"
+        )
     fo = frame_operator(lam)
-    a, b = lam.stacked, gam.stacked
-    total = frobenius_norm_sq(a - b)
+    a = lam.stacked
+    total = frobenius_norms_sq(a - b)
     canonical_gap = frobenius_norm_sq(a - canonical_parseval(lam).stacked)
-    cross_term = frobenius_norm_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
-    _check(
+    cross_term = frobenius_norms_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
+    _check_each(
         abs(total - canonical_gap - cross_term) <= parseval_approx_tolerance(total),
-        f"decomposition drifted: {total!r} vs {canonical_gap!r} + {cross_term!r}",
+        lambda i: f"decomposition drifted: {float(total[i])!r} vs {canonical_gap!r} + "
+        f"{float(cross_term[i])!r}",
     )
+    if isinstance(gam, GFrame):
+        return float(total[0]), canonical_gap, float(cross_term[0])
     return total, canonical_gap, cross_term
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -36,7 +37,8 @@ def frame_to_dict(f: GFrame) -> dict:
     return {"dim_h": f.dim_h, "operators": operators}
 
 
-def _checked_rows(value, rows: int, cols: int, where: str) -> list:
+def _checked_grid(value, rows: int, cols: int, where: str) -> list:
+    """value, once it is a list of `rows` lists of `cols` finite numbers; else the first fault, in order."""
     if not isinstance(value, list) or len(value) != rows:
         raise FrameFormatError(f"{where} must be a list of {rows} rows")
     # Shapes are checked before allocating, so a huge declared dim_h cannot
@@ -45,11 +47,6 @@ def _checked_rows(value, rows: int, cols: int, where: str) -> list:
         if not isinstance(row, list) or len(row) != cols:
             raise FrameFormatError(f"{where} row {r} must be a list of {cols} numbers")
     for r, row in enumerate(value):
-        # A row of finite floats (exactly float: bool, int and float subclasses
-        # go on to the loop) is accepted in C; the loop below stays the only
-        # code that names a bad entry, so the first one in document order wins.
-        if set(map(type, row)) == {float} and all(map(math.isfinite, row)):
-            continue
         for c, item in enumerate(row):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not a number")
@@ -62,7 +59,68 @@ def _checked_rows(value, rows: int, cols: int, where: str) -> list:
     return value
 
 
+def _read_checked(raw_ops: list, dim_h: int):
+    """(counts, re rows, im rows, has im per operator), read operator by operator.
+
+    The only code that names a fault: it raises FrameFormatError for the
+    first one in document order, and reads int and float-subclass entries.
+    """
+    counts, re_rows, im_rows, has_im = [], [], [], []
+    for idx, entry in enumerate(raw_ops):
+        where = f"operators[{idx}]"
+        if not isinstance(entry, dict):
+            raise FrameFormatError(f"{where} must be an object")
+        rows = entry.get("rows")
+        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+            raise FrameFormatError(f"{where}.rows must be a positive integer")
+        re_rows += _checked_grid(entry.get("re"), rows, dim_h, f"{where}.re")
+        has_im.append("im" in entry)
+        if has_im[-1]:
+            im_rows += _checked_grid(entry.get("im"), rows, dim_h, f"{where}.im")
+        counts.append(rows)
+    return counts, re_rows, im_rows, has_im
+
+
+def _all_instances(values, cls) -> bool:
+    return all(map(isinstance, values, repeat(cls)))
+
+
+def _read_bulk(raw_ops: list, dim_h: int):
+    """_read_checked's result, with every check run over all operators at once; None on any fault.
+
+    The entries must all be exact floats here; their finiteness is left to
+    the caller, which has them as one array.
+    """
+    if not _all_instances(raw_ops, dict):
+        return None
+    counts = list(map(dict.get, raw_ops, repeat("rows")))
+    if not _all_instances(counts, int) or any(map(isinstance, counts, repeat(bool))) or min(counts) < 1:
+        return None
+    has_im = list(map(dict.__contains__, raw_ops, repeat("im")))
+    parts = []
+    for key, ops, rows in (("re", raw_ops, counts),
+                           ("im", compress(raw_ops, has_im), list(compress(counts, has_im)))):
+        grids = list(map(dict.get, ops, repeat(key)))
+        if not _all_instances(grids, list) or list(map(len, grids)) != rows:
+            return None
+        part = list(chain.from_iterable(grids))
+        if not _all_instances(part, list) or set(map(len, part)) - {dim_h}:
+            return None
+        if set(map(type, chain.from_iterable(part))) - {float}:
+            return None
+        parts.append(part)
+    return counts, parts[0], parts[1], has_im
+
+
 def frame_from_dict(doc) -> GFrame:
+    """The frame of an interchange document; FrameFormatError names its first fault in document order.
+
+    The structure of every operator and the type of every entry are checked
+    at once (_read_bulk), and the finiteness of the entries on their array.
+    Only a document that fails there is read again operator by operator
+    (_read_checked), which names the fault or, for int and float-subclass
+    entries, reads them as their value.
+    """
     if not isinstance(doc, dict):
         raise FrameFormatError("frame document must be a JSON object")
     dim_h = doc.get("dim_h")
@@ -71,22 +129,12 @@ def frame_from_dict(doc) -> GFrame:
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise FrameFormatError("operators must be a non-empty list")
-    counts, re_rows, im_rows, im_at = [], [], [], []
-    for idx, entry in enumerate(raw_ops):
-        where = f"operators[{idx}]"
-        if not isinstance(entry, dict):
-            raise FrameFormatError(f"{where} must be an object")
-        rows = entry.get("rows")
-        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
-            raise FrameFormatError(f"{where}.rows must be a positive integer")
-        re_rows += _checked_rows(entry.get("re"), rows, dim_h, f"{where}.re")
-        if "im" in entry:
-            im_rows += _checked_rows(entry.get("im"), rows, dim_h, f"{where}.im")
-            im_at += range(len(re_rows) - rows, len(re_rows))
-        counts.append(rows)
+    counts, re_rows, im_rows, has_im = _read_bulk(raw_ops, dim_h) or _read_checked(raw_ops, dim_h)
     t = np.array(re_rows, dtype=np.float64).astype(np.complex128)
     if im_rows:
-        t.imag[im_at] = np.array(im_rows, dtype=np.float64)
+        t.imag[np.repeat(has_im, counts)] = np.array(im_rows, dtype=np.float64)
+    if not np.isfinite(t).all():
+        _read_checked(raw_ops, dim_h)  # raises, naming the first non-finite entry
     return GFrame.from_stacked(t, counts)
 
 

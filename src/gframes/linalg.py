@@ -66,7 +66,9 @@ def frobenius_norm_sq(m) -> float:
 
 def frobenius_norms_sq(m: np.ndarray) -> np.ndarray:
     """frobenius_norm_sq of each matrix of a (..., r, c) complex stack, as an array of its leading shape."""
-    return np.sum(m.real * m.real + m.imag * m.imag, axis=(-2, -1))
+    sq = m.real * m.real
+    sq += m.imag * m.imag  # in place: one real temporary fewer per stack
+    return np.sum(sq, axis=(-2, -1))
 
 
 def frobenius_norm(m) -> float:
@@ -155,18 +157,25 @@ def hermitian_eig(m) -> HermitianEigen:
 
 
 def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:
-    """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness."""
+    """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness.
+
+    `eig` may also hold a stack, as hermitian_eig returns it: each matrix is
+    gated and powered as it would be alone, and the first that fails the
+    gate raises.
+    """
     lam = eig.eigenvalues
-    lam_max = float(lam[0])
-    lam_min = float(lam[-1])
-    if not lam_min > RANK_TOLERANCE * lam_max:
+    lam_max = lam[..., 0]
+    lam_min = lam[..., -1]
+    rejected = np.flatnonzero(~(lam_min > RANK_TOLERANCE * lam_max))
+    if rejected.size:
+        low, high = float(lam_min.flat[rejected[0]]), float(lam_max.flat[rejected[0]])
         raise NotPositiveDefiniteError(
             f"matrix power needs lambda_min > {RANK_TOLERANCE:.0e} * lambda_max; "
-            f"got lambda_min = {lam_min:.6e}, lambda_max = {lam_max:.6e}",
-            lambda_min=lam_min,
+            f"got lambda_min = {low:.6e}, lambda_max = {high:.6e}",
+            lambda_min=low,
         )
     u = eig.eigenvectors
-    return (u * np.power(lam, a)) @ u.conj().T
+    return (u * np.power(lam, a)[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def matrix_power(m, a: float) -> np.ndarray:

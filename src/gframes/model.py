@@ -19,7 +19,6 @@ from .linalg import (
     RANK_TOLERANCE,
     HermitianEigen,
     as_vector,
-    frobenius_norm,
     frobenius_norm_sq,
     frobenius_norms_sq,
     hermitian_eig,
@@ -177,14 +176,36 @@ class FrameOperator:
         """
         cached = self._powers.get(a)
         if cached is None:
-            self.bounds  # the frame gate, ahead of the power's own
-            with np.errstate(over="ignore", invalid="ignore"):
-                cached = matrix_power_eig(self.eig, a)
-            if not np.isfinite(cached).all():
-                raise FrameOverflowError(f"frame is too large: S^{a!r} overflows double precision")
-            cached.setflags(write=False)
-            self._powers[a] = cached
+            (cached,) = frame_powers([self], a)
         return cached
+
+
+def frame_powers(fos: list[FrameOperator], a: float) -> np.ndarray:
+    """S^a of each frame operator as one (B, n, n) stack, memoized per frame operator.
+
+    The powers not yet memoized come from one stacked matrix_power_eig.
+    Raises what FrameOperator.power raises, for one of the frame operators
+    that fail: NotAFrameError from the frame gate, FrameOverflowError when an
+    entry of S^a exceeds the double range.
+    """
+    todo = [fo for fo in fos if a not in fo._powers]
+    if todo:
+        for fo in todo:
+            fo.bounds  # the frame gate, ahead of the power's own
+        eig = HermitianEigen(
+            eigenvalues=np.stack([fo.eig.eigenvalues for fo in todo]),
+            eigenvectors=np.stack([fo.eig.eigenvectors for fo in todo]),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = matrix_power_eig(eig, a)
+        if not np.isfinite(powers).all():
+            raise FrameOverflowError(f"frame is too large: S^{a!r} overflows double precision")
+        powers.setflags(write=False)
+        for fo, power in zip(todo, powers):
+            fo._powers[a] = power
+        if len(todo) == len(fos):
+            return powers
+    return np.stack([fo._powers[a] for fo in fos])
 
 
 @dataclass(frozen=True)
@@ -200,7 +221,7 @@ class FrameBounds:
     epsilon: float | None = None
 
 
-def _frame_matrix(t: np.ndarray) -> np.ndarray:
+def frame_matrices(t: np.ndarray) -> np.ndarray:
     """S = T* T, read-only, for a K x n analysis operator or a (..., K, n) stack of them.
 
     Raises FrameOverflowError when an entry of S, or its trace, exceeds the
@@ -226,7 +247,7 @@ def frame_operator(f: GFrame) -> FrameOperator:
     double range.
     """
     if f._frame_op is None:
-        f._frame_op = FrameOperator(_frame_matrix(f.stacked))
+        f._frame_op = FrameOperator(frame_matrices(f.stacked))
     return f._frame_op
 
 
@@ -235,9 +256,9 @@ def stacked_frames(t: np.ndarray, counts) -> list[GFrame]:
 
     Every frame's S and its eigendecomposition come from one stacked product
     and one stacked hermitian_eig, and are memoized as frame_operator would
-    memoize them; the bounds and powers of S are still built per frame.
+    memoize them; the bounds of S are still built per frame.
     """
-    s = _frame_matrix(t)
+    s = frame_matrices(t)
     eig = hermitian_eig(s)
     first = GFrame.from_stacked(t[0], counts)
     frames = [first, *(GFrame.from_stacked(slice_, like=first) for slice_ in t[1:])]
@@ -254,15 +275,19 @@ def validate_frame(f: GFrame) -> FrameBounds:
     return frame_operator(f).bounds
 
 
+def parseval_defects(s: np.ndarray) -> np.ndarray:
+    """||S - I||_F of each frame operator of a (..., n, n) stack."""
+    return np.sqrt(frobenius_norms_sq(s - np.eye(s.shape[-1])))
+
+
 def parseval_defect(g: GFrame) -> float:
     """||S - I||_F for the family."""
-    s = frame_operator(g).matrix
-    return frobenius_norm(s - np.eye(g.dim_h))
+    return float(parseval_defects(frame_operator(g).matrix))
 
 
-def parseval_tolerance(g: GFrame) -> float:
-    """The Parseval rule: g qualifies as Parseval when parseval_defect(g) is at most this."""
-    return PARSEVAL_TOLERANCE * g.dim_h
+def parseval_tolerance(n: int) -> float:
+    """The Parseval rule: a family on C^n qualifies as Parseval when its ||S - I||_F is at most this."""
+    return PARSEVAL_TOLERANCE * n
 
 
 def analysis_apply(f: GFrame, x) -> list[np.ndarray]:
@@ -280,20 +305,38 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
     return f.stacked.conj().T @ np.concatenate(blocks)
 
 
+def canonical_parseval_stack(frames: list[GFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """T·S^(-1/2) of each of several equally shaped frames, with its frame operator S'.
+
+    Returns the (B, K, n) stack of the transforms and the (B, n, n) stack of
+    their S'. The S^(-1/2) come from frame_powers; the products and the
+    Parseval check run as stacks. Raises what frame_powers raises, and
+    PostconditionError when a transform misses the Parseval rule
+    (parseval_tolerance).
+    """
+    # The stack of T is released once multiplied: a batch's peak memory counts every stack it holds.
+    p = np.stack([f.stacked for f in frames]) @ frame_powers([frame_operator(f) for f in frames], -0.5)
+    s = frame_matrices(p)
+    defects = parseval_defects(s)
+    failed = np.flatnonzero(~(defects <= parseval_tolerance(p.shape[-1])))
+    if failed.size:
+        raise PostconditionError(
+            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defects[failed[0]]:.3e} "
+            f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
+        )
+    return p, s
+
+
 def canonical_parseval(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1/2); the result has frame operator I.
 
-    Raises PostconditionError when the result misses the Parseval rule
-    (parseval_tolerance); S' stays cached on the returned frame.
+    The one-frame case of canonical_parseval_stack, memoized per frame; S'
+    stays cached on the returned frame.
     """
     if f._parseval is None:
-        g = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-0.5), like=f)
-        defect = parseval_defect(g)
-        if not defect <= parseval_tolerance(g):
-            raise PostconditionError(
-                f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defect:.3e} "
-                f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
-            )
+        (p,), (s,) = canonical_parseval_stack([f])
+        g = GFrame.from_stacked(p, like=f)
+        g._frame_op = FrameOperator(s)
         f._parseval = g
     return f._parseval
 

@@ -22,7 +22,7 @@ from .duals import (
     proximity_slack,
     verify_alternate_dual,
 )
-from .generators import in_batches, random_parseval_gframes, unwrap
+from .generators import in_batches, parseval_companions, unwrap
 from .identities import (
     canonical_dual_gap,
     dual_closed_form_tolerance,
@@ -112,6 +112,25 @@ def _child_seed(master: np.random.Generator) -> int:
     return int(master.integers(1 << 62))
 
 
+def _companion_terms(f: GFrame, seeds: list[int], terms):
+    """Per seed: its entry of terms(companions), or the exception that stopped it.
+
+    terms maps a (B, K, n) stack of random Parseval companions of f's shape
+    to one value per companion. The companions and terms are built per batch
+    of generators.in_batches, with one call of each per batch, as the
+    iteration reaches them.
+    """
+
+    def build(batch: list[int]) -> list:
+        companions, outcomes = parseval_companions(f.dim_h, f.counts, batch)
+        if companions is not None:
+            values = iter(terms(companions))
+            outcomes = [next(values) if outcome is None else outcome for outcome in outcomes]
+        return outcomes
+
+    return in_batches(build, seeds, 16 * f.stacked.size)
+
+
 def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     """Energy interval, Parseval budget, power-trace equality, weighted-energy invariance."""
     checks: list[CheckResult] = []
@@ -146,9 +165,10 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     weight_sq = frobenius_norm_sq(weight)
     values: list[float] = []
     seeds = [_child_seed(master) for _ in range(trials)]
-    for j, companion in enumerate(random_parseval_gframes(n, f.counts, seeds)):
-        def energy_row(j=j, companion=companion):
-            value = parseval_weighted_energy(weight, unwrap(companion))
+    energies = _companion_terms(f, seeds, lambda stack: parseval_weighted_energy(weight, stack).tolist())
+    for j, outcome in enumerate(energies):
+        def energy_row(j=j, outcome=outcome):
+            value = unwrap(outcome)
             values.append(value)
             return equality_check(
                 f"weighted-energy[trial={j}]", value, weight_sq, weighted_energy_tolerance(weight_sq))
@@ -165,7 +185,6 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
     """Distance decomposition against Parseval companions and its minimality."""
     checks: list[CheckResult] = []
     master = stream(seed, substream=2)
-    n = f.dim_h
 
     def gap_row():
         gap = parseval_gap(f)
@@ -184,11 +203,15 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
 
     _guard(checks, "parseval-approx-canonical", canonical_rows)
 
+    def decompositions(companions) -> list:
+        total, canonical_gap, cross = parseval_approx_decomposition(f, companions)
+        return [(t, canonical_gap, c) for t, c in zip(total.tolist(), cross.tolist())]
+
     totals: list[float] = []
     seeds = [_child_seed(master) for _ in range(trials)]
-    for j, companion in enumerate(random_parseval_gframes(n, f.counts, seeds)):
-        def identity_row(j=j, companion=companion):
-            total, canonical_gap, cross = parseval_approx_decomposition(f, unwrap(companion))
+    for j, outcome in enumerate(_companion_terms(f, seeds, decompositions)):
+        def identity_row(j=j, outcome=outcome):
+            total, canonical_gap, cross = unwrap(outcome)
             totals.append(total)
             return equality_check(
                 f"parseval-approx-identity[trial={j}]",
@@ -369,6 +392,45 @@ def render_json(obj, indent: int = 0) -> str:
         inner = ",\n".join(f"{pad}  {render_json(item, indent + 1)}" for item in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+# One check of render_json(report_to_dict(report)), at its depth in the report.
+_CHECK_JSON = (
+    '    {{\n      "name": {},\n      "lhs": {},\n      "rhs": {},\n      "residual": {},\n'
+    '      "tolerance": {},\n      "passed": {}\n    }}'
+)
+
+
+def _field_json(value) -> str:
+    """render_json of one field of a check; the fields' own types are formatted here."""
+    if type(value) is str:
+        return json.dumps(value)
+    if type(value) is float:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value in report: {value!r}")
+        return format(value, ".17g")
+    if type(value) is bool:
+        return "true" if value else "false"
+    return render_json(value, 3)
+
+
+def render_report_json(report: VerificationReport) -> str:
+    """render_json(report_to_dict(report)), with each check laid out by one fixed template.
+
+    The generic render_json recurses once per value, about 1,300 times for
+    an 81-check report; here each check is one format call.
+    """
+    checks = ",\n".join(
+        _CHECK_JSON.format(
+            _field_json(c.name), _field_json(c.lhs), _field_json(c.rhs), _field_json(c.residual),
+            _field_json(c.tolerance), _field_json(c.passed))
+        for c in report.checks
+    )
+    return (
+        '{\n  "frame_summary": ' + render_json(report.frame_summary, 1)
+        + ',\n  "checks": ' + ("[\n" + checks + "\n  ]" if checks else "[]")
+        + ',\n  "overall": ' + render_json(report.overall, 1) + "\n}"
+    )
 
 
 def render_text(report: VerificationReport) -> str:

@@ -22,6 +22,8 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     """Deterministic generator for (seed, substream)."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if seed >= 1 << 128:  # Philox's key is 128 bits
+        raise ValueError(f"seed must be below 2**128, got {seed}")
     if substream < 0:
         raise ValueError(f"substream must be non-negative, got {substream}")
     bits = np.random.Philox(key=seed)

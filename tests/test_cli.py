@@ -404,3 +404,48 @@ def test_frame_on_stdout_equals_written_file(gen_args, capsys, tmp_path):
     code, out, _ = run(capsys, *gen_args)
     assert code == 0
     assert out == path.read_text(encoding="utf-8")
+
+
+class TestSeedRange:
+    """Seeds key a 128-bit Philox stream: 2**128 - 1 is the largest that runs."""
+
+    @staticmethod
+    def commands(tmp_path, seed):
+        frame = str(GOLDEN / "nearly-parseval.frame.json")
+        return [
+            ["verify", frame, "--trials", "2", "--seed", str(seed)],
+            ["gen", "random", "--n", "3", "--counts", "2,2", "--seed", str(seed)],
+            ["dual", frame, "--magnitude", "1", "--seed", str(seed), "-o", str(tmp_path / "d.json")],
+        ]
+
+    def test_seed_2_128_is_named_in_a_usage_error(self, capsys, tmp_path):
+        for argv in self.commands(tmp_path, 2**128):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert err == f"error: seed must be below 2**128, got {2**128}\n"
+        assert not (tmp_path / "d.json").exists()
+
+    def test_seed_2_128_minus_1_runs(self, capsys, tmp_path):
+        for argv in self.commands(tmp_path, 2**128 - 1):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+        assert (tmp_path / "d.json").exists()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
+        from gframes import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            frame = str(GOLDEN / "extremal.frame.json")
+            first = run(capsys, "verify", frame, "--suite", "bounds", "--json")
+            assert run(capsys, "verify", frame, "--suite", "nonsense")[0] == 2
+            assert run(capsys, "analyze", frame)[0] == 0
+            assert run(capsys, "verify", frame, "--suite", "bounds", "--json") == first
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()

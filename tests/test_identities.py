@@ -1,7 +1,11 @@
 """Identity operations: energy budgets, power-trace equality, distance decompositions."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gframes import duals, identities, model
 from gframes.errors import (
@@ -30,6 +34,7 @@ from gframes.generators import (
     random_gframe,
     random_parseval_gframe,
 )
+from gframes.io import load_frame
 from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator
 
 from conftest import random_complex
@@ -307,6 +312,70 @@ class TestStackedDualDecompositions:
             frobenius_dual_decomposition(lam, canonical_dual(lam).stacked)
         with pytest.raises(ValueError, match="must have 3 rows"):
             pointwise_dual_decomposition(lam, canonical_dual(lam), np.ones((2, 4)))
+
+
+GOLDEN_FRAMES = sorted((Path(__file__).parent / "data" / "golden").glob("*.frame.json"))
+
+
+def float_bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestStackedParsevalIdentities:
+    """A (B, K, n) stack of Parseval families gives each one-family call's terms, bit for bit."""
+
+    @staticmethod
+    def assert_stack_equals_each_call(lam, families, weight):
+        stack = np.stack([g.stacked for g in families])
+        energies = parseval_weighted_energy(weight, stack)
+        total, gap, cross = parseval_approx_decomposition(lam, stack)
+        assert energies.shape == total.shape == cross.shape == (len(families),)
+        for b, g in enumerate(families):
+            assert float_bits(energies[b]) == float_bits(parseval_weighted_energy(weight, g))
+            assert float_bits(total[b], gap, cross[b]) == float_bits(*parseval_approx_decomposition(lam, g))
+
+    @pytest.mark.parametrize("path", GOLDEN_FRAMES, ids=lambda p: p.name.split(".")[0])
+    def test_golden_frames(self, path, rng):
+        lam = load_frame(path)
+        families = [canonical_parseval(lam)] + [
+            random_parseval_gframe(lam.dim_h, lam.counts, seed=s) for s in (1, 2, 3)]
+        self.assert_stack_equals_each_call(lam, families, random_complex(rng, 3, lam.dim_h))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        extra=st.lists(st.integers(min_value=1, max_value=3), max_size=6),
+        size=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32),
+        weight_rows=st.integers(min_value=1, max_value=3),
+    )
+    def test_stack_equals_each_call(self, n, extra, size, seed, weight_rows):
+        counts = (n, *extra)
+        lam = random_gframe(n, counts, seed=seed)
+        families = [random_parseval_gframe(n, counts, seed=seed + 1 + b) for b in range(size)]
+        weight = random_complex(np.random.default_rng(seed), weight_rows, n)
+        self.assert_stack_equals_each_call(lam, families, weight)
+
+    def test_non_parseval_slice_raises_its_own_error(self):
+        lam = random_gframe(3, (2, 2), seed=30)
+        stack = np.stack([random_parseval_gframe(3, (2, 2), seed=31).stacked, lam.stacked])
+        with pytest.raises(NotParsevalError) as alone:
+            parseval_approx_decomposition(lam, lam)
+        with pytest.raises(NotParsevalError) as stacked:
+            parseval_approx_decomposition(lam, stack)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(NotParsevalError, match=r"^frame is not Parseval"):
+            parseval_weighted_energy(np.eye(3), stack)
+
+    def test_rejects_stack_of_other_shape(self):
+        lam = random_gframe(3, (2, 2), seed=32)
+        companion = random_parseval_gframe(3, (1, 1, 1), seed=33)
+        with pytest.raises(ValueError, match="must have shape"):
+            parseval_approx_decomposition(lam, companion.stacked[np.newaxis])
+        with pytest.raises(ValueError, match="must have shape"):
+            parseval_weighted_energy(np.eye(3), companion.stacked)
+        with pytest.raises(ValueError, match="weight must have 3 columns"):
+            parseval_weighted_energy(np.eye(2), companion.stacked[np.newaxis])
 
 
 class TestVectorFrameEmbedding:

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gframes import io as frame_io
 from gframes.errors import FrameFormatError
 from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from gframes.generators import random_gframe
@@ -254,3 +256,68 @@ def test_int_and_float64_entries_load_exactly(f, data):
                 for c, x in enumerate(row):
                     row[c] = data.draw(st.one_of(st.just(x), st.just(np.float64(x)), as_int))
     assert np.array_equal(frame_from_dict(doc).stacked, reference_stacked(doc))
+
+
+NUMBER_FAULTS = {"bool": True, "string": "0.5", "nan": math.nan, "infinity": math.inf, "huge": 10**400}
+STRUCTURE_FAULTS = ("short row", "missing re")
+
+
+def corrupt(doc, idx, kind, data) -> str:
+    """Put one fault of this kind into operator idx; returns the path of the entry or part it hit."""
+    entry = doc["operators"][idx]
+    if kind == "missing re":
+        del entry["re"]
+        return f"operators[{idx}].re"
+    part = data.draw(st.sampled_from([p for p in ("re", "im") if p in entry]))
+    r = data.draw(st.integers(min_value=0, max_value=entry["rows"] - 1))
+    if kind == "short row":
+        entry[part][r].pop()
+        return f"operators[{idx}].{part} row {r}"
+    c = data.draw(st.integers(min_value=0, max_value=doc["dim_h"] - 1))
+    entry[part][r][c] = NUMBER_FAULTS[kind]
+    return f"operators[{idx}].{part}[{r}][{c}]"
+
+
+def as_read(doc):
+    """doc through JSON text, so NaN and Infinity arrive as the JSON reader parses those literals."""
+    return json.loads(json.dumps(doc))
+
+
+@settings(deadline=None, max_examples=60)
+@given(f=frames(max_operators=8), data=st.data())
+def test_bulk_reader_names_the_fault_the_loop_names(f, data):
+    doc = frame_to_dict(f)
+    kind = data.draw(st.sampled_from([*NUMBER_FAULTS, *STRUCTURE_FAULTS]))
+    where = corrupt(doc, data.draw(st.integers(min_value=0, max_value=len(f) - 1)), kind, data)
+    doc = as_read(doc)
+    with pytest.raises(FrameFormatError) as loop:
+        frame_io._read_checked(doc["operators"], doc["dim_h"])
+    with pytest.raises(FrameFormatError) as bulk:
+        frame_from_dict(doc)
+    assert str(bulk.value) == str(loop.value)
+    assert str(bulk.value).startswith(where + " ")
+
+
+@settings(deadline=None, max_examples=40)
+@given(f=frames(max_operators=8).filter(lambda f: len(f) >= 2), data=st.data())
+def test_bad_number_before_a_structure_error_is_named(f, data):
+    doc = frame_to_dict(f)
+    later = data.draw(st.integers(min_value=1, max_value=len(f) - 1))
+    where = corrupt(doc, data.draw(st.integers(min_value=0, max_value=later - 1)),
+                    data.draw(st.sampled_from(list(NUMBER_FAULTS))), data)
+    corrupt(doc, later, data.draw(st.sampled_from(STRUCTURE_FAULTS)), data)
+    with pytest.raises(FrameFormatError) as exc:
+        frame_from_dict(as_read(doc))
+    assert str(exc.value).startswith(where + " ")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data" / "golden").glob("*.frame.json")),
+                         ids=lambda p: p.name.split(".")[0])
+def test_valid_document_skips_the_per_entry_loop(path, monkeypatch):
+    want = load_frame(path).stacked
+
+    def refuse(*_):
+        raise AssertionError("a document of finite floats is read in bulk")
+
+    monkeypatch.setattr(frame_io, "_read_checked", refuse)
+    assert np.array_equal(load_frame(path).stacked.view(np.uint64), want.view(np.uint64))

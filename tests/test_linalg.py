@@ -18,6 +18,7 @@ from gframes.linalg import (
     hermitian_eig,
     matmul,
     matrix_power,
+    matrix_power_eig,
     trace,
 )
 
@@ -351,3 +352,30 @@ class TestStackedHermitianEig:
         with pytest.raises(ValueError) as stacked:
             hermitian_eig(m)
         assert str(stacked.value) == str(alone.value)
+
+
+class TestStackedMatrixPower:
+    """Powers of a stacked decomposition equal each matrix's power alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        count=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=1, max_value=9),
+        a=st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_equals_per_matrix_calls(self, count, n, a, seed):
+        m = stack_of(np.random.default_rng(seed), "gram", count, n)
+        stacked = matrix_power_eig(hermitian_eig(m), a)
+        assert stacked.shape == (count, n, n)
+        for j in range(count):
+            assert np.array_equal(bits(stacked[j]), bits(matrix_power_eig(hermitian_eig(m[j]), a)))
+
+    def test_failing_slice_raises_its_own_error(self):
+        m = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(NotPositiveDefiniteError) as alone:
+            matrix_power(m[1], 0.5)
+        with pytest.raises(NotPositiveDefiniteError) as stacked:
+            matrix_power(m, 0.5)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.lambda_min == -1.0

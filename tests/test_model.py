@@ -22,8 +22,10 @@ from gframes.model import (
     analysis_apply,
     canonical_dual,
     canonical_parseval,
+    canonical_parseval_stack,
     dual_residual,
     frame_operator,
+    frame_powers,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,
@@ -442,6 +444,46 @@ class TestCanonicalMemo:
         assert canonical_dual(f) is d
         assert np.array_equal(p.stacked, p_entries)
         assert np.array_equal(d.stacked, d_entries)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestStackedTransforms:
+    """Powers and canonical Parseval transforms of several frames, built as stacks, equal each frame's own."""
+
+    def test_frame_powers_equal_each_power_and_fill_the_memo(self):
+        fos = [frame_operator(random_gframe(4, (2, 3), seed=s)) for s in range(3)]
+        stack = frame_powers(fos, -0.5)
+        for s, (fo, power) in enumerate(zip(fos, stack)):
+            assert fo.power(-0.5) is fo.power(-0.5)
+            assert same_bits(fo.power(-0.5), power)
+            assert same_bits(power, frame_operator(random_gframe(4, (2, 3), seed=s)).power(-0.5))
+        # Memoized and new powers mix in one call.
+        fresh = frame_operator(random_gframe(4, (2, 3), seed=5))
+        mixed = frame_powers([fos[1], fresh], -0.5)
+        assert same_bits(mixed[0], stack[1])
+        assert same_bits(mixed[1], fresh.power(-0.5))
+
+    def test_frame_powers_gate_each_frame(self):
+        fos = [frame_operator(random_gframe(3, (2, 2), seed=1)),
+               frame_operator(GFrame([np.array([[1.0, 0.0, 0.0]])]))]
+        with pytest.raises(NotAFrameError):
+            frame_powers(fos, -0.5)
+
+    def test_parseval_stack_equals_each_canonical_parseval(self):
+        p, s = canonical_parseval_stack([random_gframe(4, (2, 3), seed=seed) for seed in range(4)])
+        for seed, (transform, gram) in enumerate(zip(p, s)):
+            alone = canonical_parseval(random_gframe(4, (2, 3), seed=seed))
+            assert same_bits(transform, alone.stacked)
+            assert same_bits(gram, frame_operator(alone).matrix)
+
+    def test_parseval_stack_checks_each_transform(self, monkeypatch):
+        frames = [random_gframe(4, (2, 3), seed=s) for s in range(3)]
+        monkeypatch.setattr(model, "PARSEVAL_TOLERANCE", -1.0)
+        with pytest.raises(PostconditionError, match="is not Parseval"):
+            canonical_parseval_stack(frames)
 
 
 def test_dual_residual_overflow_is_inf():

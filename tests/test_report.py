@@ -16,11 +16,14 @@ from gframes.generators import nearly_parseval_gframe, random_gframe
 from gframes.io import load_frame, save_frame
 from gframes.model import GFrame
 from gframes.report import (
+    CheckResult,
+    VerificationReport,
     _guard,
     at_least_check,
     at_most_check,
     equality_check,
     render_json,
+    render_report_json,
     render_text,
     report_to_dict,
     run_suite,
@@ -239,15 +242,23 @@ class TestParsevalGapFailure:
 class TestCompanionBatches:
     def test_failed_companion_is_only_its_own_row(self, monkeypatch):
         good = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
-        real = generators.canonical_parseval
-        built = itertools.count()
+        real = generators.canonical_parseval_stack
+        drawn = []
 
-        def flaky(g):
-            if next(built) == 2:  # the third companion, drawn for weighted-energy[trial=2]
+        def recording(frames):
+            drawn.extend(f.stacked for f in frames)
+            return real(frames)
+
+        monkeypatch.setattr(generators, "canonical_parseval_stack", recording)
+        run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        third = drawn[2]  # the frame of the third companion, drawn for weighted-energy[trial=2]
+
+        def flaky(frames):
+            if any(np.array_equal(f.stacked, third) for f in frames):
                 raise PostconditionError("injected")
-            return real(g)
+            return real(frames)
 
-        monkeypatch.setattr(generators, "canonical_parseval", flaky)
+        monkeypatch.setattr(generators, "canonical_parseval_stack", flaky)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         assert [c.name for c in bad.checks if "[error: " in c.name] == [
             "weighted-energy[trial=2] [error: PostconditionError: injected]"]
@@ -379,6 +390,39 @@ class TestRendering:
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
             render_json({"x": float("inf")})
+
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors", "nearly-parseval-1e8"])
+    def test_flat_writer_equals_generic_render(self, name):
+        if name == "nearly-parseval-1e8":
+            f = scaled_golden_frame(1e8)
+        else:
+            f = load_frame(GOLDEN / f"{name}.frame.json")
+        for trials in (0, 4):
+            r = run_suite(f, "all", trials=trials, seed=7)
+            assert render_report_json(r) == render_json(report_to_dict(r))
+        if name == "nearly-parseval-1e8":
+            assert any("[error: " in c.name for c in r.checks)
+
+    def test_flat_writer_escapes_names(self):
+        name = 'quote " backslash \\ tab \t newline \n \u00fcmlaut \u2713 \U0001d4d5'
+        summary = {"dim_h": 2, "counts": [1, 1], "lower": 0.5, "upper": 1.5, "epsilon": 0.5}
+        for checks in ([], [CheckResult(name, 1.0 / 3.0, -0.0, 5e-324, 1e300, False),
+                            CheckResult("plain", 1.0, 1.0, 0.0, 1e-9, True)]):
+            r = VerificationReport(frame_summary=summary, checks=checks, overall=not checks)
+            assert render_report_json(r) == render_json(report_to_dict(r))
+        assert json.loads(render_report_json(r))["checks"][0]["name"] == name
+
+    @pytest.mark.parametrize("field", ["lhs", "rhs", "residual", "tolerance"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_flat_writer_rejects_non_finite_as_before(self, field, value):
+        fields = dict(name="x", lhs=1.0, rhs=1.0, residual=0.0, tolerance=1.0, passed=True)
+        fields[field] = value
+        r = VerificationReport(frame_summary={"dim_h": 1}, checks=[CheckResult(**fields)], overall=True)
+        with pytest.raises(ValueError) as before:
+            render_json(report_to_dict(r))
+        with pytest.raises(ValueError) as now:
+            render_report_json(r)
+        assert str(now.value) == str(before.value)
 
     def test_text_has_status_per_row(self):
         report = run_suite(extremal_frame(2, 0.1), "bounds", trials=1, seed=0)
