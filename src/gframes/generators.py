@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
-from .model import GFrame, canonical_parseval, canonical_parseval_stack, stacked_frames, validate_frame
+from .errors import EpsilonOutOfRangeError, GFrameError
+from .model import FrameOperator, GFrame, canonical_parseval, canonical_parseval_stack, frame_matrices
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
@@ -63,41 +63,48 @@ def in_batches(build, items, item_bytes: int):
         del outcomes  # free this batch before the next one is built
 
 
-def _random_gframes(n: int, counts: tuple[int, ...], seeds: list[int]) -> list:
+def _random_frames(n: int, counts: tuple[int, ...], seeds: list[int]) -> tuple:
     """Gaussian frames for several seeds, drawn and decomposed as stacks.
 
-    Each outcome is a (frame, live stream) pair, the stream kept for
-    follow-up draws, or the GFrameError of a seed that never drew a frame.
+    Returns (t, fo, outcomes). outcomes[i] is the live stream that drew seed
+    i's frame, kept for follow-up draws, or the GFrameError of a seed that
+    never drew one. t is the (B, K, n) stack of the drawn frames in seed
+    order, and fo its FrameOperator; both are None when no seed drew a frame.
     A seed whose draw fails the rank gate is drawn again on its next
     substream, alone with the other failed seeds; the seeds that passed keep
-    their frames.
+    their frames, and S and its eigendecomposition are then built again for
+    the frames that stay.
     """
-    outcomes: list = [None] * len(seeds)
-    pending = list(range(len(seeds)))
-    for retry in range(RETRY_CAP):
-        if not pending:
+    gens = [stream(seed) for seed in seeds]
+    t = complex_gaussian_stack(gens, counts, n)
+    fo = FrameOperator(frame_matrices(t))
+    passed = fo.is_frame
+    for retry in range(1, RETRY_CAP):
+        failed = np.flatnonzero(~passed)
+        if not failed.size:
             break
-        gens = [stream(seeds[i], substream=retry) for i in pending]
-        frames = stacked_frames(complex_gaussian_stack(gens, counts, n), counts)
-        rejected = []
-        for i, f, gen in zip(pending, frames, gens):
-            try:
-                validate_frame(f)
-            except NotAFrameError:
-                rejected.append(i)
-            else:
-                outcomes[i] = (f, gen)
-        pending = rejected
-    for i in pending:
-        outcomes[i] = GFrameError(
-            f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}"
-        )
-    return outcomes
+        for i in failed:
+            gens[i] = stream(seeds[i], substream=retry)
+        t[failed] = complex_gaussian_stack([gens[i] for i in failed], counts, n)
+        passed[failed] = FrameOperator(frame_matrices(t[failed])).is_frame
+        fo = None
+    outcomes = [gen if ok else GFrameError(
+        f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}")
+        for gen, ok in zip(gens, passed.tolist())]
+    if not passed.any():
+        return None, None, outcomes
+    if fo is None or not passed.all():
+        t = t[passed]
+        fo = FrameOperator(frame_matrices(t))
+    return t, fo, outcomes
 
 
 def _random_gframe(n: int, counts, seed: int) -> tuple[GFrame, np.random.Generator]:
     """Gaussian frame plus the live stream that produced it (for follow-up draws)."""
-    return unwrap(_random_gframes(n, _check_params(n, counts), [seed])[0])
+    counts = _check_params(n, counts)
+    t, fo, (outcome,) = _random_frames(n, counts, [seed])
+    gen = unwrap(outcome)
+    return GFrame.from_stacked(t[0], counts, frame_op=fo[0]), gen
 
 
 def random_gframe(n: int, counts, seed: int) -> GFrame:
@@ -120,10 +127,9 @@ def parseval_companions(n: int, counts, seeds: list[int]) -> tuple[np.ndarray | 
     one model.canonical_parseval_stack call; when that raises, the whole call
     raises, and in_batches redoes it seed by seed.
     """
-    drawn = _random_gframes(n, _check_params(n, counts), seeds)
-    frames = [outcome[0] for outcome in drawn if not isinstance(outcome, Exception)]
-    outcomes = [outcome if isinstance(outcome, Exception) else None for outcome in drawn]
-    return (canonical_parseval_stack(frames)[0] if frames else None), outcomes
+    t, fo, outcomes = _random_frames(n, _check_params(n, counts), seeds)
+    return (None if t is None else canonical_parseval_stack(t, fo)[0]), [
+        outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
 
 
 def random_parseval_gframes(n: int, counts, seeds):

@@ -26,20 +26,44 @@ from .model import (
     dual_certificates,
     frame_matrices,
     frame_operator,
-    parseval_defect,
     parseval_defects,
     parseval_tolerance,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
-    verify_alternate_dual,
 )
 
 
-def _require_defects(defects, n: int, name: str) -> None:
-    """Raise NotParsevalError for the first defect ||S - I||_F that misses the Parseval rule."""
-    defects = np.atleast_1d(defects)
-    failed = np.flatnonzero(~(defects <= parseval_tolerance(n)))
+def _stack(gam, what: str, like: GFrame | None = None):
+    """gam as a (B, K, n) stack of analysis operators, and the function giving a call's terms in gam's form.
+
+    gam is a GFrame, taken as the stack of its one analysis operator, whose
+    terms come back as floats; or a (B, K, n) stack of `what`, whose terms
+    come back as they are. A term that does not depend on gam stays a float.
+    With `like`, gam must have like's shape: a GFrame its dim_h and counts
+    (require_matching_shapes), a stack its K x n.
+    """
+    if isinstance(gam, GFrame):
+        if like is not None:
+            require_matching_shapes(like, gam)
+        return gam.stacked[np.newaxis], lambda *terms: tuple(float(t[0]) if np.ndim(t) else t for t in terms)
+    families = np.asarray(gam, dtype=np.complex128)
+    rows, cols = ("K", "n") if like is None else like.stacked.shape
+    if families.ndim != 3 or min(families.shape) < 1 or (
+            like is not None and families.shape[1:] != like.stacked.shape):
+        raise ValueError(f"a stack of {what} must have shape (B, {rows}, {cols}), got {families.shape}")
+    return families, lambda *terms: terms
+
+
+def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
+    """gam as a (B, K, n) stack and its terms' form (see _stack), once each family is Parseval.
+
+    gam is a GFrame or a (B, K, n) stack of analysis operators. Raises
+    NotParsevalError for the first family that misses the Parseval rule.
+    """
+    families, given = _stack(gam, "families", like)
+    defects = parseval_defects(frame_matrices(families))
+    failed = np.flatnonzero(~(defects <= parseval_tolerance(families.shape[-1])))
     if failed.size:
         defect = float(defects[failed[0]])
         raise NotParsevalError(
@@ -47,46 +71,19 @@ def _require_defects(defects, n: int, name: str) -> None:
             f"{PARSEVAL_TOLERANCE:.0e} * n",
             residual=defect,
         )
+    return families, given
 
 
-def require_parseval(g: GFrame, name: str = "frame") -> None:
-    _require_defects(parseval_defect(g), g.dim_h, name)
+def require_alternate_dual(lam: GFrame, gam):
+    """gam as a (B, K, n) stack and its terms' form (see _stack), once each is an alternate dual of lam.
 
-
-def require_parsevals(gam, name: str = "frame") -> np.ndarray:
-    """The analysis operators of gam as a (B, K, n) stack, once each is Parseval.
-
-    gam is a GFrame (B = 1) or a (B, K, n) stack of analysis operators.
-    Raises NotParsevalError for the first that misses the Parseval rule.
+    gam is a GFrame or a (B, K, n) stack of analysis operators of lam's
+    shape. Raises NotADualError for the first that misses the dual equation.
     """
-    if isinstance(gam, GFrame):
-        require_parseval(gam, name)
-        return gam.stacked[np.newaxis]
-    families = np.asarray(gam, dtype=np.complex128)
-    if families.ndim != 3 or min(families.shape) < 1:
-        raise ValueError(f"a stack of families must have shape (B, K, n), got {families.shape}")
-    _require_defects(parseval_defects(frame_matrices(families)), families.shape[-1], name)
-    return families
-
-
-def require_alternate_dual(lam: GFrame, gam) -> np.ndarray:
-    """The analysis operators of gam as a (B, K, n) stack, once each is an alternate dual of lam.
-
-    gam is a GFrame (B = 1) or a (B, K, n) stack of analysis operators.
-    Raises NotADualError for the first that misses the dual equation.
-    """
-    if isinstance(gam, GFrame):
-        verify_alternate_dual(lam, gam).require()
-        return gam.stacked[np.newaxis]
-    duals = np.asarray(gam, dtype=np.complex128)
-    if duals.ndim != 3 or duals.shape[1:] != lam.stacked.shape:
-        raise ValueError(
-            f"a stack of duals must have shape (B, {lam.stacked.shape[0]}, {lam.dim_h}), "
-            f"got {duals.shape}"
-        )
+    duals, given = _stack(gam, "duals", like=lam)
     for cert in dual_certificates(lam, duals):
         cert.require()
-    return duals
+    return duals, given
 
 
 def _check(condition: bool, message: str) -> None:
@@ -117,7 +114,7 @@ def parseval_weighted_energy(weight, g):
     the call on family b alone returns.
     """
     w = as_matrix(weight, "weight")
-    families = require_parsevals(g)
+    families, given = require_parseval(g)
     if w.shape[1] != families.shape[-1]:
         raise ValueError(f"weight must have {families.shape[-1]} columns, got {w.shape[1]}")
     values = frobenius_norms_sq(families @ w.conj().T)
@@ -126,7 +123,7 @@ def parseval_weighted_energy(weight, g):
         abs(values - closed) <= weighted_energy_tolerance(closed),
         lambda i: f"weighted energy {float(values[i])!r} drifted from ||W||_F^2 = {closed!r}",
     )
-    return float(values[0]) if isinstance(g, GFrame) else values
+    return given(values)[0]
 
 
 def parseval_budget_tolerance(n: int) -> float:
@@ -194,14 +191,7 @@ def parseval_approx_decomposition(lam: GFrame, gam):
     on lam alone, as one float, built once.
     """
     validate_frame(lam)
-    b = require_parsevals(gam, "second family")
-    if isinstance(gam, GFrame):
-        require_matching_shapes(lam, gam)
-    elif b.shape[1:] != lam.stacked.shape:
-        raise ValueError(
-            f"a stack of families must have shape (B, {lam.stacked.shape[0]}, {lam.dim_h}), "
-            f"got {b.shape}"
-        )
+    b, given = require_parseval(gam, "second family", like=lam)
     fo = frame_operator(lam)
     a = lam.stacked
     total = frobenius_norms_sq(a - b)
@@ -212,9 +202,7 @@ def parseval_approx_decomposition(lam: GFrame, gam):
         lambda i: f"decomposition drifted: {float(total[i])!r} vs {canonical_gap!r} + "
         f"{float(cross_term[i])!r}",
     )
-    if isinstance(gam, GFrame):
-        return float(total[0]), canonical_gap, float(cross_term[0])
-    return total, canonical_gap, cross_term
+    return given(total, canonical_gap, cross_term)
 
 
 def parseval_gap_tolerance(value: float) -> float:
@@ -272,8 +260,7 @@ def pointwise_dual_decomposition(lam: GFrame, gam, x):
     entry), each entry what the call on that dual and vector alone returns.
     """
     validate_frame(lam)
-    duals = require_alternate_dual(lam, gam)
-    single = isinstance(gam, GFrame) and np.ndim(x) == 1
+    duals, given = require_alternate_dual(lam, gam)
     if np.ndim(x) == 2:
         probes = as_matrix(x, "x", require_finite=True)
         if probes.shape[0] != lam.dim_h:
@@ -294,9 +281,8 @@ def pointwise_dual_decomposition(lam: GFrame, gam, x):
         lambda i: f"pointwise decomposition drifted: {float(total[i])!r} vs "
         f"{float(canonical[i])!r} + {float(residual[i])!r}",
     )
-    if single:
-        return float(total[0]), float(canonical[0]), float(residual[0])
-    return total, canonical, residual
+    # A block of probes makes the call stacked, whatever gam is.
+    return (total, canonical, residual) if np.ndim(x) == 2 else given(total, canonical, residual)
 
 
 def frobenius_dual_tolerance(total):
@@ -325,7 +311,7 @@ def frobenius_dual_decomposition(lam: GFrame, gam):
     float, built and checked once.
     """
     validate_frame(lam)
-    b = require_alternate_dual(lam, gam)
+    b, given = require_alternate_dual(lam, gam)
     a = lam.stacked
     c = canonical_dual(lam).stacked
     total = frobenius_norms_sq(a - b)
@@ -341,6 +327,4 @@ def frobenius_dual_decomposition(lam: GFrame, gam):
         abs(canonical - closed) <= dual_closed_form_tolerance(canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",
     )
-    if isinstance(gam, GFrame):
-        return float(total[0]), canonical, float(residual[0])
-    return total, canonical, residual
+    return given(total, canonical, residual)

@@ -96,10 +96,12 @@ def _require_hermitian(a: np.ndarray) -> None:
 
     The criterion ||M - M*||_F > tol * (1 + ||M||_F) is evaluated on M / s
     with s = max |m_ij|, so squaring the entries can neither overflow nor
-    flush the largest of them to zero. A zero matrix is divided by 1 and passes.
+    flush the largest of them to zero. A matrix whose s is zero or subnormal
+    is divided by 1 instead, since 1 / s would overflow; its ||M - M*||_F,
+    at most 2n * s, is then far below the tolerance, and it passes.
     """
     scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    divisor = np.where(scale > 0.0, scale, 1.0)
+    divisor = np.where(scale >= np.finfo(np.float64).tiny, scale, 1.0)
     unit = a / divisor
     skew = unit - unit.conj().swapaxes(-1, -2)
     norm = np.sqrt((unit.real * unit.real + unit.imag * unit.imag).sum(axis=(-2, -1), keepdims=True))
@@ -156,6 +158,11 @@ def hermitian_eig(m) -> HermitianEigen:
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def full_rank(eigenvalues: np.ndarray) -> np.ndarray:
+    """The rank rule lambda_min > RANK_TOLERANCE * lambda_max, per non-increasing spectrum of a (..., n) stack."""
+    return eigenvalues[..., -1] > RANK_TOLERANCE * eigenvalues[..., 0]
+
+
 def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:
     """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness.
 
@@ -164,11 +171,9 @@ def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:
     gate raises.
     """
     lam = eig.eigenvalues
-    lam_max = lam[..., 0]
-    lam_min = lam[..., -1]
-    rejected = np.flatnonzero(~(lam_min > RANK_TOLERANCE * lam_max))
+    rejected = np.flatnonzero(~full_rank(lam))
     if rejected.size:
-        low, high = float(lam_min.flat[rejected[0]]), float(lam_max.flat[rejected[0]])
+        low, high = float(lam[..., -1].flat[rejected[0]]), float(lam[..., 0].flat[rejected[0]])
         raise NotPositiveDefiniteError(
             f"matrix power needs lambda_min > {RANK_TOLERANCE:.0e} * lambda_max; "
             f"got lambda_min = {low:.6e}, lambda_max = {high:.6e}",

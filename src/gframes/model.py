@@ -21,6 +21,7 @@ from .linalg import (
     as_vector,
     frobenius_norm_sq,
     frobenius_norms_sq,
+    full_rank,
     hermitian_eig,
     matrix_power_eig,
 )
@@ -64,11 +65,13 @@ class GFrame:
         self._setup(np.concatenate(blocks), [arr.shape[0] for arr in blocks])
 
     @classmethod
-    def from_stacked(cls, stacked, counts=None, *, like: GFrame | None = None) -> GFrame:
+    def from_stacked(cls, stacked, counts=None, *, like: GFrame | None = None,
+                     frame_op: FrameOperator | None = None) -> GFrame:
         """Frame whose analysis operator is a copy of `stacked`, cut into blocks of counts[i] rows.
 
         With `like` in place of `counts`, the blocks are those of the frame
         `like`, whose counts and offsets were validated when it was built.
+        `frame_op`, when given, is the frame's FrameOperator, already built.
         """
         t = np.array(stacked, dtype=np.complex128)
         if t.ndim != 2 or t.shape[1] < 1:
@@ -80,6 +83,7 @@ class GFrame:
             f._setup(t, counts)
         else:
             f._setup(t, like._counts, like._offsets)
+        f._frame_op = frame_op
         return f
 
     def _setup(self, t: np.ndarray, counts, offsets: tuple[int, ...] | None = None) -> None:
@@ -135,7 +139,13 @@ class GFrame:
 
 
 class FrameOperator:
-    """The matrix S of a frame; its eigendecomposition, bounds and powers are computed on first use."""
+    """The matrix S of a frame, or the (B, n, n) stack of S of B frames of one shape.
+
+    The eigendecomposition, the rank gate and the powers are computed on first
+    use, for every frame of a stack at once; each matrix is decomposed and
+    powered as it would be alone. For one frame, `matrix`, `eig` and
+    `power(a)` are n x n; `bounds` is defined for one frame only.
+    """
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
 
@@ -145,6 +155,12 @@ class FrameOperator:
         self._bounds = None
         self._powers = {}
 
+    def __getitem__(self, b: int) -> FrameOperator:
+        """Frame b of the stack, with its S and, once the stack's is built, its eigendecomposition."""
+        eig = None if self._eig is None else HermitianEigen(
+            eigenvalues=self._eig.eigenvalues[b], eigenvectors=self._eig.eigenvectors[b])
+        return FrameOperator(self.matrix[b], eig)
+
     @property
     def eig(self) -> HermitianEigen:
         if self._eig is None:
@@ -152,60 +168,47 @@ class FrameOperator:
         return self._eig
 
     @property
-    def bounds(self) -> FrameBounds:
-        """Optimal bounds of the frame, built once.
+    def is_frame(self) -> np.ndarray:
+        """The rank gate of each frame: lambda_min(S) > RANK_TOLERANCE * lambda_max(S) (linalg.full_rank)."""
+        return full_rank(self.eig.eigenvalues)
 
-        Raises NotAFrameError when lambda_min(S) <= RANK_TOLERANCE * lambda_max(S).
-        """
+    def require_frame(self) -> None:
+        """Raise NotAFrameError for the first frame that fails the rank gate, as that frame alone would."""
+        failed = np.flatnonzero(~self.is_frame)
+        if failed.size:
+            lam = self.eig.eigenvalues.reshape(-1, self.matrix.shape[-1])[failed[0]]
+            upper, lower = float(lam[0]), float(lam[-1])
+            raise NotAFrameError(
+                f"not a frame: lambda_min(S) = {lower:.6e} is at or below "
+                f"{RANK_TOLERANCE:.0e} * lambda_max(S) = {RANK_TOLERANCE * upper:.6e}",
+                lambda_min=lower,
+            )
+
+    @property
+    def bounds(self) -> FrameBounds:
+        """Optimal bounds of the frame, built once; raises NotAFrameError as require_frame does."""
         if self._bounds is None:
+            self.require_frame()
             upper = float(self.eig.eigenvalues[0])
             lower = float(self.eig.eigenvalues[-1])
-            if not lower > RANK_TOLERANCE * upper:
-                raise NotAFrameError(
-                    f"not a frame: lambda_min(S) = {lower:.6e} is at or below "
-                    f"{RANK_TOLERANCE:.0e} * lambda_max(S) = {RANK_TOLERANCE * upper:.6e}",
-                    lambda_min=lower,
-                )
             self._bounds = FrameBounds(lower=lower, upper=upper, epsilon=max(1.0 - lower, upper - 1.0))
         return self._bounds
 
     def power(self, a: float) -> np.ndarray:
-        """S^a (read-only), memoized per exponent; raises NotAFrameError as `bounds` does.
+        """S^a of each frame (read-only), memoized per exponent; raises NotAFrameError as require_frame does.
 
         Raises FrameOverflowError when an entry of S^a exceeds the double range.
         """
         cached = self._powers.get(a)
         if cached is None:
-            (cached,) = frame_powers([self], a)
+            self.require_frame()  # the frame gate, ahead of the power's own
+            with np.errstate(over="ignore", invalid="ignore"):
+                cached = matrix_power_eig(self.eig, a)
+            if not np.isfinite(cached).all():
+                raise FrameOverflowError(f"frame is too large: S^{a!r} overflows double precision")
+            cached.setflags(write=False)
+            self._powers[a] = cached
         return cached
-
-
-def frame_powers(fos: list[FrameOperator], a: float) -> np.ndarray:
-    """S^a of each frame operator as one (B, n, n) stack, memoized per frame operator.
-
-    The powers not yet memoized come from one stacked matrix_power_eig.
-    Raises what FrameOperator.power raises, for one of the frame operators
-    that fail: NotAFrameError from the frame gate, FrameOverflowError when an
-    entry of S^a exceeds the double range.
-    """
-    todo = [fo for fo in fos if a not in fo._powers]
-    if todo:
-        for fo in todo:
-            fo.bounds  # the frame gate, ahead of the power's own
-        eig = HermitianEigen(
-            eigenvalues=np.stack([fo.eig.eigenvalues for fo in todo]),
-            eigenvectors=np.stack([fo.eig.eigenvectors for fo in todo]),
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = matrix_power_eig(eig, a)
-        if not np.isfinite(powers).all():
-            raise FrameOverflowError(f"frame is too large: S^{a!r} overflows double precision")
-        powers.setflags(write=False)
-        for fo, power in zip(todo, powers):
-            fo._powers[a] = power
-        if len(todo) == len(fos):
-            return powers
-    return np.stack([fo._powers[a] for fo in fos])
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ class FrameBounds:
 
     lower: float
     upper: float
-    epsilon: float | None = None
+    epsilon: float
 
 
 def frame_matrices(t: np.ndarray) -> np.ndarray:
@@ -249,22 +252,6 @@ def frame_operator(f: GFrame) -> FrameOperator:
     if f._frame_op is None:
         f._frame_op = FrameOperator(frame_matrices(f.stacked))
     return f._frame_op
-
-
-def stacked_frames(t: np.ndarray, counts) -> list[GFrame]:
-    """One frame per K x n slice of the (B, K, n) stack t, each cut into blocks of counts[i] rows.
-
-    Every frame's S and its eigendecomposition come from one stacked product
-    and one stacked hermitian_eig, and are memoized as frame_operator would
-    memoize them; the bounds of S are still built per frame.
-    """
-    s = frame_matrices(t)
-    eig = hermitian_eig(s)
-    first = GFrame.from_stacked(t[0], counts)
-    frames = [first, *(GFrame.from_stacked(slice_, like=first) for slice_ in t[1:])]
-    for f, matrix, w, v in zip(frames, s, eig.eigenvalues, eig.eigenvectors):
-        f._frame_op = FrameOperator(matrix, HermitianEigen(eigenvalues=w, eigenvectors=v))
-    return frames
 
 
 def validate_frame(f: GFrame) -> FrameBounds:
@@ -305,23 +292,20 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
     return f.stacked.conj().T @ np.concatenate(blocks)
 
 
-def canonical_parseval_stack(frames: list[GFrame]) -> tuple[np.ndarray, np.ndarray]:
-    """T·S^(-1/2) of each of several equally shaped frames, with its frame operator S'.
+def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> tuple[np.ndarray, np.ndarray]:
+    """T·S^(-1/2) of a K x n analysis operator, or of each of a (B, K, n) stack, with its frame operator S'.
 
-    Returns the (B, K, n) stack of the transforms and the (B, n, n) stack of
-    their S'. The S^(-1/2) come from frame_powers; the products and the
-    Parseval check run as stacks. Raises what frame_powers raises, and
-    PostconditionError when a transform misses the Parseval rule
-    (parseval_tolerance).
+    fo is the FrameOperator of t. Returns the transforms, shaped as t, and
+    their S'. Raises what fo.power raises, and PostconditionError when a
+    transform misses the Parseval rule (parseval_tolerance).
     """
-    # The stack of T is released once multiplied: a batch's peak memory counts every stack it holds.
-    p = np.stack([f.stacked for f in frames]) @ frame_powers([frame_operator(f) for f in frames], -0.5)
+    p = t @ fo.power(-0.5)
     s = frame_matrices(p)
     defects = parseval_defects(s)
     failed = np.flatnonzero(~(defects <= parseval_tolerance(p.shape[-1])))
     if failed.size:
         raise PostconditionError(
-            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defects[failed[0]]:.3e} "
+            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defects.flat[failed[0]]:.3e} "
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
     return p, s
@@ -334,10 +318,8 @@ def canonical_parseval(f: GFrame) -> GFrame:
     stays cached on the returned frame.
     """
     if f._parseval is None:
-        (p,), (s,) = canonical_parseval_stack([f])
-        g = GFrame.from_stacked(p, like=f)
-        g._frame_op = FrameOperator(s)
-        f._parseval = g
+        p, s = canonical_parseval_stack(f.stacked, frame_operator(f))
+        f._parseval = GFrame.from_stacked(p, like=f, frame_op=FrameOperator(s))
     return f._parseval
 
 

@@ -133,6 +133,11 @@ class TestHermitianEig:
         assert np.array_equal(e.eigenvalues, [3.0, 1.0])
         assert np.array_equal(e.eigenvectors, np.eye(2))
 
+    def test_subnormal_matrix_warns_nothing(self):
+        # 1 / max |m_ij| overflows here; the Hermitian check must not divide by it.
+        e = hermitian_eig(1e-320 * np.eye(2))
+        assert np.array_equal(e.eigenvalues, [1e-320, 1e-320])
+
     def test_two_by_two_hand_values(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-t)^2 - 1, roots 3 and 1
         e = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))

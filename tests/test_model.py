@@ -18,14 +18,15 @@ from gframes.identities import (
 )
 from gframes.linalg import frobenius_norm
 from gframes.model import (
+    FrameOperator,
     GFrame,
     analysis_apply,
     canonical_dual,
     canonical_parseval,
     canonical_parseval_stack,
     dual_residual,
+    frame_matrices,
     frame_operator,
-    frame_powers,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,
@@ -123,6 +124,11 @@ class TestValidateFrame:
     def test_epsilon_picks_binding_side(self):
         b = validate_frame(diagonal_frame([1.5, 0.8]))
         assert b.epsilon == pytest.approx(0.5, abs=1e-12)
+
+    def test_subnormal_frame_operator_warns_nothing(self):
+        # S = 1e-320 I: every entry of S is subnormal.
+        b = validate_frame(GFrame([1e-160 * np.eye(3)]))
+        assert b.lower == b.upper > 0.0
 
     def test_rank_deficient_rejected(self):
         f = GFrame([np.array([[1.0, 0.0]])])  # single row cannot span C^2
@@ -394,7 +400,7 @@ class TestTransformPostconditions:
 
 
 class TestSingleFrameGate:
-    """The rank rule lives on FrameOperator.bounds; every frame path reads it there."""
+    """The rank gate lives on FrameOperator.require_frame; every frame path reads it there."""
 
     def test_power_raises_the_frame_error(self):
         f = GFrame([np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])])
@@ -453,37 +459,79 @@ def same_bits(a, b):
 class TestStackedTransforms:
     """Powers and canonical Parseval transforms of several frames, built as stacks, equal each frame's own."""
 
-    def test_frame_powers_equal_each_power_and_fill_the_memo(self):
-        fos = [frame_operator(random_gframe(4, (2, 3), seed=s)) for s in range(3)]
-        stack = frame_powers(fos, -0.5)
-        for s, (fo, power) in enumerate(zip(fos, stack)):
-            assert fo.power(-0.5) is fo.power(-0.5)
-            assert same_bits(fo.power(-0.5), power)
-            assert same_bits(power, frame_operator(random_gframe(4, (2, 3), seed=s)).power(-0.5))
-        # Memoized and new powers mix in one call.
-        fresh = frame_operator(random_gframe(4, (2, 3), seed=5))
-        mixed = frame_powers([fos[1], fresh], -0.5)
-        assert same_bits(mixed[0], stack[1])
-        assert same_bits(mixed[1], fresh.power(-0.5))
+    @staticmethod
+    def stacked(frames):
+        t = np.stack([f.stacked for f in frames])
+        return t, FrameOperator(frame_matrices(t))
 
-    def test_frame_powers_gate_each_frame(self):
-        fos = [frame_operator(random_gframe(3, (2, 2), seed=1)),
-               frame_operator(GFrame([np.array([[1.0, 0.0, 0.0]])]))]
-        with pytest.raises(NotAFrameError):
-            frame_powers(fos, -0.5)
+    def test_stacked_power_equals_each_power(self):
+        _, fo = self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(3)])
+        stack = fo.power(-0.5)
+        assert fo.power(-0.5) is stack
+        for s, power in enumerate(stack):
+            assert same_bits(power, frame_operator(random_gframe(4, (2, 3), seed=s)).power(-0.5))
+
+    def test_stacked_power_gates_each_frame(self):
+        good = random_gframe(3, (2, 2), seed=1)
+        bad = GFrame.from_stacked(good.stacked * [0.0, 1.0, 1.0], like=good)
+        _, fo = self.stacked([good, bad])
+        with pytest.raises(NotAFrameError) as alone:
+            validate_frame(bad)
+        with pytest.raises(NotAFrameError) as stacked:
+            fo.power(-0.5)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.lambda_min == alone.value.lambda_min
 
     def test_parseval_stack_equals_each_canonical_parseval(self):
-        p, s = canonical_parseval_stack([random_gframe(4, (2, 3), seed=seed) for seed in range(4)])
+        p, s = canonical_parseval_stack(*self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(4)]))
         for seed, (transform, gram) in enumerate(zip(p, s)):
             alone = canonical_parseval(random_gframe(4, (2, 3), seed=seed))
             assert same_bits(transform, alone.stacked)
             assert same_bits(gram, frame_operator(alone).matrix)
 
     def test_parseval_stack_checks_each_transform(self, monkeypatch):
-        frames = [random_gframe(4, (2, 3), seed=s) for s in range(3)]
+        t, fo = self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(3)])
         monkeypatch.setattr(model, "PARSEVAL_TOLERANCE", -1.0)
         with pytest.raises(PostconditionError, match="is not Parseval"):
-            canonical_parseval_stack(frames)
+            canonical_parseval_stack(t, fo)
+
+
+class TestStackedFrameOperator:
+    """A FrameOperator of a (B, n, n) stack gates and powers each frame as the frame's own one does."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),
+        deficient=st.lists(st.booleans(), min_size=1, max_size=5),
+        a=st.sampled_from([-1.0, -0.5, -0.25, 0.5, 1.0, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_gate_and_power_equal_each_frame(self, n, counts, deficient, a, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(deficient), sum(counts), n)
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t[np.array(deficient), :, 0] = 0.0  # a zero column: S is singular
+        frames = [GFrame.from_stacked(slice_, counts) for slice_ in t]
+        fo = FrameOperator(frame_matrices(t))
+        errors = []
+        for f in frames:
+            try:
+                validate_frame(f)
+            except NotAFrameError as exc:
+                errors.append(exc)
+            else:
+                errors.append(None)
+        assert fo.is_frame.tolist() == [e is None for e in errors]
+        first = next((e for e in errors if e is not None), None)
+        if first is None:
+            for power, f in zip(fo.power(a), frames):
+                assert same_bits(power, frame_operator(f).power(a))
+        else:
+            with pytest.raises(NotAFrameError) as got:
+                fo.power(a)
+            assert str(got.value) == str(first)
+            assert got.value.lambda_min == first.lambda_min
 
 
 def test_dual_residual_overflow_is_inf():

@@ -245,18 +245,18 @@ class TestCompanionBatches:
         real = generators.canonical_parseval_stack
         drawn = []
 
-        def recording(frames):
-            drawn.extend(f.stacked for f in frames)
-            return real(frames)
+        def recording(t, fo):
+            drawn.extend(t)
+            return real(t, fo)
 
         monkeypatch.setattr(generators, "canonical_parseval_stack", recording)
         run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         third = drawn[2]  # the frame of the third companion, drawn for weighted-energy[trial=2]
 
-        def flaky(frames):
-            if any(np.array_equal(f.stacked, third) for f in frames):
+        def flaky(t, fo):
+            if any(np.array_equal(frame, third) for frame in t):
                 raise PostconditionError("injected")
-            return real(frames)
+            return real(t, fo)
 
         monkeypatch.setattr(generators, "canonical_parseval_stack", flaky)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
