@@ -9,7 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, GFrameError
-from .model import FrameOperator, GFrame, canonical_parseval, canonical_parseval_stack, frame_matrices
+from .model import (
+    FrameOperator,
+    GFrame,
+    ParsevalStack,
+    canonical_parseval,
+    canonical_parseval_stack,
+    frame_matrices,
+)
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
@@ -116,19 +123,22 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
     return _random_gframe(n, counts, seed)[0]
 
 
-def parseval_companions(n: int, counts, seeds: list[int]) -> tuple[np.ndarray | None, list]:
+def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> tuple[ParsevalStack | None, list]:
     """Canonical Parseval transforms of the seeds' random Gaussian frames, as one stack.
 
-    Returns (companions, outcomes). outcomes[i] is None when seed i drew a
-    frame, and otherwise the GFrameError of a seed that never drew one.
-    companions holds the (B, K, n) analysis operators of the transforms of
-    the seeds that drew a frame, in seed order (None when no seed did). The
-    frames are drawn and decomposed as stacks, and their transforms come from
-    one model.canonical_parseval_stack call; when that raises, the whole call
+    n and counts are taken as checked: counts is a tuple of positive ints
+    adding up to at least n, as random_parseval_gframes checks once per call
+    and as a frame's own shape is. Returns (companions, outcomes).
+    outcomes[i] is None when seed i drew a frame, and otherwise the
+    GFrameError of a seed that never drew one. companions is the
+    model.ParsevalStack of the transforms of the seeds that drew a frame, in
+    seed order (None when no seed did). The frames are drawn and decomposed
+    as stacks, and their transforms come from one
+    model.canonical_parseval_stack call; when that raises, the whole call
     raises, and in_batches redoes it seed by seed.
     """
-    t, fo, outcomes = _random_frames(n, _check_params(n, counts), seeds)
-    return (None if t is None else canonical_parseval_stack(t, fo)[0]), [
+    t, fo, outcomes = _random_frames(n, counts, seeds)
+    return (None if t is None else canonical_parseval_stack(t, fo)), [
         outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
 
 
@@ -144,7 +154,7 @@ def random_parseval_gframes(n: int, counts, seeds):
 
     def build(batch: list[int]) -> list:
         companions, outcomes = parseval_companions(n, counts, batch)
-        made = iter(() if companions is None else companions)
+        made = iter(() if companions is None else companions.families)
         return [GFrame.from_stacked(next(made), counts) if outcome is None else outcome
                 for outcome in outcomes]
 

@@ -20,7 +20,9 @@ from .errors import FrameOverflowError, NotParsevalError, PostconditionError
 from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq, trace
 from .model import (
     PARSEVAL_TOLERANCE,
+    DualStack,
     GFrame,
+    ParsevalStack,
     canonical_dual,
     canonical_parseval,
     dual_certificates,
@@ -31,6 +33,7 @@ from .model import (
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
+    verify_alternate_dual,
 )
 
 
@@ -38,15 +41,18 @@ def _stack(gam, what: str, like: GFrame | None = None):
     """gam as a (B, K, n) stack of analysis operators, and the function giving a call's terms in gam's form.
 
     gam is a GFrame, taken as the stack of its one analysis operator, whose
-    terms come back as floats; or a (B, K, n) stack of `what`, whose terms
-    come back as they are. A term that does not depend on gam stays a float.
-    With `like`, gam must have like's shape: a GFrame its dim_h and counts
+    terms come back as floats; or a (B, K, n) stack of `what`, bare or as a
+    builder's ParsevalStack or DualStack, whose terms come back as they are.
+    A term that does not depend on gam stays a float. With `like`, gam must
+    have like's shape: a GFrame its dim_h and counts
     (require_matching_shapes), a stack its K x n.
     """
     if isinstance(gam, GFrame):
         if like is not None:
             require_matching_shapes(like, gam)
         return gam.stacked[np.newaxis], lambda *terms: tuple(float(t[0]) if np.ndim(t) else t for t in terms)
+    if isinstance(gam, (ParsevalStack, DualStack)):
+        gam = gam.families
     families = np.asarray(gam, dtype=np.complex128)
     rows, cols = ("K", "n") if like is None else like.stacked.shape
     if families.ndim != 3 or min(families.shape) < 1 or (
@@ -58,11 +64,16 @@ def _stack(gam, what: str, like: GFrame | None = None):
 def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
     """gam as a (B, K, n) stack and its terms' form (see _stack), once each family is Parseval.
 
-    gam is a GFrame or a (B, K, n) stack of analysis operators. Raises
-    NotParsevalError for the first family that misses the Parseval rule.
+    gam is a GFrame, whose memoized S is read, a (B, K, n) stack of analysis
+    operators, or a ParsevalStack, whose families canonical_parseval_stack
+    has already checked. Raises NotParsevalError for the first family that
+    misses the Parseval rule.
     """
     families, given = _stack(gam, "families", like)
-    defects = parseval_defects(frame_matrices(families))
+    if isinstance(gam, ParsevalStack):
+        return families, given
+    s = frame_operator(gam).matrix if isinstance(gam, GFrame) else frame_matrices(families)
+    defects = parseval_defects(s).reshape(-1)
     failed = np.flatnonzero(~(defects <= parseval_tolerance(families.shape[-1])))
     if failed.size:
         defect = float(defects[failed[0]])
@@ -77,11 +88,16 @@ def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
 def require_alternate_dual(lam: GFrame, gam):
     """gam as a (B, K, n) stack and its terms' form (see _stack), once each is an alternate dual of lam.
 
-    gam is a GFrame or a (B, K, n) stack of analysis operators of lam's
-    shape. Raises NotADualError for the first that misses the dual equation.
+    gam is a GFrame, checked by verify_alternate_dual (which reads its
+    builder's certificate), a (B, K, n) stack of analysis operators of lam's
+    shape, or a DualStack of lam, whose duals certified_duals has already
+    checked. Raises NotADualError for the first that misses the dual equation.
     """
     duals, given = _stack(gam, "duals", like=lam)
-    for cert in dual_certificates(lam, duals):
+    if isinstance(gam, DualStack) and gam.frame is lam:
+        return duals, given
+    certs = [verify_alternate_dual(lam, gam)] if isinstance(gam, GFrame) else dual_certificates(lam, duals)
+    for cert in certs:
         cert.require()
     return duals, given
 

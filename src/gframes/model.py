@@ -11,6 +11,7 @@ transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,12 @@ class GFrame:
 
     The operators live, in order, as the row blocks of one read-only K x n
     array, the analysis operator T (`stacked`); `operators` are read-only
-    views of those blocks. S and both canonical families are memoized.
+    views of those blocks. S and both canonical families are memoized, and
+    so is the DualCertificate of a frame that a builder certified as an
+    alternate dual (verify_alternate_dual).
     """
 
-    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual")
+    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual", "_certificate")
 
     def __init__(self, operators, dim_h: int | None = None):
         blocks = []
@@ -106,7 +109,7 @@ class GFrame:
         self._stacked = t
         self._counts = counts
         self._offsets = offsets
-        self._frame_op = self._parseval = self._dual = None
+        self._frame_op = self._parseval = self._dual = self._certificate = None
 
     @property
     def dim_h(self) -> int:
@@ -292,7 +295,19 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
     return f.stacked.conj().T @ np.concatenate(blocks)
 
 
-def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> tuple[np.ndarray, np.ndarray]:
+class ParsevalStack(NamedTuple):
+    """Canonical Parseval transforms and their S', as canonical_parseval_stack returns them.
+
+    Only canonical_parseval_stack makes one, once each transform has met the
+    Parseval rule; identities.require_parseval reads that check instead of
+    running it again. Both arrays are read-only.
+    """
+
+    families: np.ndarray
+    s: np.ndarray
+
+
+def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
     """T·S^(-1/2) of a K x n analysis operator, or of each of a (B, K, n) stack, with its frame operator S'.
 
     fo is the FrameOperator of t. Returns the transforms, shaped as t, and
@@ -300,6 +315,7 @@ def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> tuple[np.ndarr
     transform misses the Parseval rule (parseval_tolerance).
     """
     p = t @ fo.power(-0.5)
+    p.setflags(write=False)
     s = frame_matrices(p)
     defects = parseval_defects(s)
     failed = np.flatnonzero(~(defects <= parseval_tolerance(p.shape[-1])))
@@ -308,7 +324,7 @@ def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> tuple[np.ndarr
             f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defects.flat[failed[0]]:.3e} "
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
-    return p, s
+    return ParsevalStack(p, s)
 
 
 def canonical_parseval(f: GFrame) -> GFrame:
@@ -327,7 +343,8 @@ def canonical_dual(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1); the canonical alternate dual.
 
     Raises PostconditionError when the result misses the dual equation by
-    more than DUAL_TOLERANCE * n.
+    more than DUAL_TOLERANCE * n. The dual keeps its certificate
+    (verify_alternate_dual).
     """
     if f._dual is None:
         d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), like=f)
@@ -337,7 +354,7 @@ def canonical_dual(f: GFrame) -> GFrame:
                 f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
                 f"exceeds {DUAL_TOLERANCE:.0e} * n"
             )
-        f._dual = d
+        f._dual = certify_dual(f, d, cert)
     return f._dual
 
 
@@ -409,8 +426,36 @@ def dual_certificates(lam: GFrame, duals: np.ndarray) -> list[DualCertificate]:
     ]
 
 
+class DualStack(NamedTuple):
+    """Alternate duals of `frame` as duals.certified_duals returns them: a read-only (B, K, n) stack.
+
+    Only certified_duals makes one, of the duals whose certificate passed;
+    identities.require_alternate_dual reads that check instead of running it
+    again.
+    """
+
+    frame: GFrame
+    families: np.ndarray
+
+
+def certify_dual(lam: GFrame, gam: GFrame, cert: DualCertificate) -> GFrame:
+    """gam, keeping cert, its builder's check against lam, for verify_alternate_dual.
+
+    gam keeps lam's analysis operator, not lam, so a canonical dual memoized
+    on lam forms no reference cycle.
+    """
+    gam._certificate = (lam.stacked, cert)
+    return gam
+
+
 def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:
-    """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h."""
+    """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h.
+
+    A dual that its builder certified against lam (canonical_dual,
+    duals.random_alternate_duals) gives back that certificate.
+    """
     require_matching_shapes(lam, gam)
+    if gam._certificate is not None and gam._certificate[0] is lam.stacked:
+        return gam._certificate[1]
     (cert,) = dual_certificates(lam, gam.stacked[np.newaxis])
     return cert

@@ -267,12 +267,9 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     def build(batch: list) -> list:
         """Per trial: its certificate and Frobenius and pointwise terms, or the exception that stopped it."""
-        duals, outcomes = certified_duals(f, 1.0, [child for child, _ in batch])
-        kept = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, DualCertificate)]
-        if kept:  # one stacked call per identity, on the certified duals only
-            # A batch whose duals all hold goes in whole: copying it cost ~4 % of
-            # ops_per_s on the verify-vectors-n4 benchmark workload.
-            stack = duals if len(kept) == len(duals) else duals[kept]
+        stack, outcomes = certified_duals(f, 1.0, [child for child, _ in batch])
+        if stack is not None:  # one stacked call per identity, on the certified duals only
+            kept = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, DualCertificate)]
             probes = np.array([batch[b][1] for b in kept]).T
             total, canonical_term, residual = frobenius_dual_decomposition(f, stack)
             ptotal, pcanon, pres = pointwise_dual_decomposition(f, stack, probes)

@@ -32,86 +32,116 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-# Draws of at most this many variates keep their index arrays in a memo: there
-# building the indices costs more than the draw itself (36 us against 15 us for
-# 8 normals). Larger draws rebuild them: memoizing the 256 KiB of indices of a
-# 256 x 32 frame raised the peak RSS of a construct-n32 process by 2.2 MB.
+# Draws of at most this many variates keep their layout in a memo: there
+# building the gathers costs more than the draw itself (36 us against 15 us for
+# 8 normals). Larger draws rebuild them: memoizing the 256 KiB of index arrays
+# of a 256 x 32 frame raised the peak RSS of a construct-n32 process by 2.2 MB.
 MEMO_VARIATES = 1 << 13
 
 
-def _box_muller_indices(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only gather indices (first, second, pick) of _box_muller_batches for these batch sizes."""
-    sizes = np.array(sizes, dtype=np.int64)
-    pairs = (sizes + 1) // 2
-    total = int(pairs.sum())
-    # Batch b owns uniforms [2*P_b, 2*P_b + 2*p_b) with P_b the pairs before it:
-    # u1 of its j-th pair sits at 2*P_b + j and u2 at 2*P_b + p_b + j.
-    first = np.repeat(np.cumsum(pairs) - pairs, pairs) + np.arange(total)
-    second = first + np.repeat(pairs, pairs)
-    # Variate q of batch b is cos[P_b + q] for q < p_b, else sin[P_b + q - p_b].
-    offset = np.repeat(np.cumsum(pairs) - pairs, sizes)
-    q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = np.repeat(pairs, sizes)
-    pick = np.where(q < width, offset + q, total + offset + q - width)
-    for index in (first, second, pick):
-        index.setflags(write=False)
-    return first, second, pick
+def _box_muller_layout(counts: tuple[int, ...], cols: int, pair: bool) -> tuple[np.ndarray, ...]:
+    """Read-only gathers (first, second, out) of _box_muller_batches for one draw shape.
 
-
-_memo_indices = lru_cache(maxsize=16)(_box_muller_indices)
-
-
-def _box_muller_batches(gens, sizes: tuple[int, ...]) -> np.ndarray:
-    """Consecutive Box-Muller batches of the given sizes, one row per generator.
-
-    Row r holds exactly the variates gens[r] alone would give. The index
-    arrays depend only on `sizes`, so they are built once per call (once per
-    distinct sizes for small draws) and applied along the generator axis.
-    Each generator's uniforms come from one gen.random call; Philox hands out
-    the same doubles whether they are requested in one call or in many.
+    Each k in counts stands for one batch of k * cols variates, or with `pair`
+    for two such batches, a real one and then an imaginary one. A batch of
+    s variates owns 2p uniforms, p = ceil(s/2), at 2P onward, with P the pairs
+    of the batches before it: u1 of its j-th pair sits at 2P + j and u2 at
+    2P + p + j (first, second). Its variate q is r*cos of pair P + q for q < p,
+    else r*sin of pair P + q - p, read from w = [r*cos of every pair | r*sin of
+    every pair] (out). With `pair`, out interleaves each real batch with its
+    imaginary one, so the variates view as complex128 in row order.
     """
-    indices = _memo_indices if sum(sizes) <= MEMO_VARIATES else _box_muller_indices
-    first, second, pick = indices(sizes)
+    group = 2 if pair else 1
+    if len(set(counts)) <= 1:  # equal batches: each gather is one broadcast sum
+        size = cols * counts[0] if counts else 0
+        width = (size + 1) // 2
+        batches = group * len(counts)
+        first = (2 * width * np.arange(batches)[:, np.newaxis] + np.arange(width)).ravel()
+        second = first + width
+        q = np.arange(size)
+        pick = np.where(q < width, q, width * batches + q - width)
+        # out[l, q, c] is variate q of batch group * l + c: each part is written with q innermost.
+        out = np.empty((len(counts), size, group), dtype=np.intp)
+        for part in range(group):
+            np.add.outer(width * np.arange(part, batches, group), pick, out=out[..., part])
+        out = out.ravel()
+    else:
+        sizes = np.repeat(np.asarray(counts, dtype=np.int64) * cols, group)
+        pairs = (sizes + 1) // 2
+        total = int(pairs.sum())
+        start = np.cumsum(pairs) - pairs
+        first = np.repeat(start, pairs) + np.arange(total)
+        second = first + np.repeat(pairs, pairs)
+        offset = np.repeat(start, sizes)
+        q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = np.repeat(pairs, sizes)
+        out = np.where(q < width, offset + q, total + offset + q - width)
+        if pair:
+            real = np.repeat(np.arange(sizes.size) % 2 == 0, sizes)
+            out = np.stack([out[real], out[~real]], axis=1).ravel()
+    for index in (first, second, out):
+        index.setflags(write=False)
+    return first, second, out
+
+
+_memo_layout = lru_cache(maxsize=16)(_box_muller_layout)
+
+
+def _box_muller_batches(gens, counts: tuple[int, ...], cols: int, pair: bool = False) -> np.ndarray:
+    """Consecutive Box-Muller batches of one draw shape (_box_muller_layout), one row per generator.
+
+    Row r holds exactly the variates gens[r] alone would give, in batch order,
+    or with `pair` as complex128 pairs (real batch, imaginary batch) in row
+    order. The layout depends only on the shape, so it is built once per call
+    (once per distinct shape for small draws) and applied along the generator
+    axis. Each generator's uniforms come from one gen.random call; Philox
+    hands out the same doubles whether they are requested in one call or in
+    many.
+    """
+    variates = sum(counts) * cols * (2 if pair else 1)
+    layout = _memo_layout if variates <= MEMO_VARIATES else _box_muller_layout
+    first, second, out = layout(counts, cols, pair)
     # Each intermediate below is released once used, so a batch peaks at a few times its size.
     u = np.empty((len(gens), 2 * first.size))
     for row, gen in zip(u, gens):
         gen.random(out=row)
     # take keeps every row contiguous (u[:, idx] would return a column-major array).
-    u1 = 1.0 - u.take(first, axis=1)  # (0, 1], keeps the log finite
-    u2 = u.take(second, axis=1)
+    radius = u.take(first, axis=1)
+    angle = u.take(second, axis=1)
     del u
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    del u1, u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    del radius, angle
-    return z.take(pick, axis=1)
+    np.subtract(1.0, radius, out=radius)  # (0, 1], keeps the log finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    w = np.empty((len(gens), 2, first.size))
+    np.cos(angle, out=w[:, 0])
+    np.sin(angle, out=w[:, 1])
+    del angle
+    w *= radius[:, np.newaxis]
+    del radius
+    z = w.reshape(len(gens), -1).take(out, axis=1)
+    return z.view(np.complex128) if pair else z
 
 
 def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """Box-Muller standard normals drawn from the uniform stream."""
-    return _box_muller_batches([gen], (count,))[0]
+    return _box_muller_batches([gen], (1,), count)[0]
 
 
 def standard_normal_batches(gen: np.random.Generator, batches: int, count: int) -> np.ndarray:
     """batches x count array whose row b is the b-th of `batches` consecutive standard_normals(gen, count) draws."""
-    return _box_muller_batches([gen], (count,) * batches)[0].reshape(batches, count)
+    return _box_muller_batches([gen], (1,) * batches, count)[0].reshape(batches, count)
 
 
 def complex_gaussian_stack(gens, counts, cols: int) -> np.ndarray:
     """complex_gaussian_blocks for each generator, as one len(gens) x sum(counts) x cols array.
 
-    Each generator draws exactly what it would draw alone; only the index
-    arithmetic and the transform are shared along the generator axis.
+    Each generator draws exactly what it would draw alone; only the layout
+    and the transform are shared along the generator axis.
     """
-    sizes = tuple(np.repeat(np.asarray(counts, dtype=np.int64) * cols, 2).tolist())
-    # Batches alternate real, imaginary per block; split by the batch parity.
-    real = np.repeat(np.arange(len(sizes)) % 2 == 0, sizes)
-    z = _box_muller_batches(gens, sizes)
-    re = z.compress(real, axis=1)
-    im = z.compress(~real, axis=1)
-    del z
-    return (re + 1j * im).reshape(len(gens), sum(counts), cols)
+    counts = tuple(counts)
+    return _box_muller_batches(gens, counts, cols, pair=True).reshape(len(gens), sum(counts), cols)
 
 
 def complex_gaussian_blocks(gen: np.random.Generator, counts, cols: int) -> np.ndarray:

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframes import duals, generators, identities, report
+from gframes import duals, generators, identities, model, report
 from gframes.cli import main
 from gframes.duals import extremal_frame
 from gframes.errors import PostconditionError
 from gframes.generators import nearly_parseval_gframe, random_gframe
 from gframes.io import load_frame, save_frame
-from gframes.model import GFrame
+from gframes.model import GFrame, canonical_dual
 from gframes.report import (
     CheckResult,
     VerificationReport,
@@ -321,8 +321,8 @@ class TestDualBatches:
         trial_duals = []
 
         def recording(lam, gam):
-            if not isinstance(gam, GFrame):
-                trial_duals.extend(np.array(gam))
+            if not isinstance(gam, GFrame):  # a DualStack of the trials' certified duals
+                trial_duals.extend(gam.families)
             return real(lam, gam)
 
         monkeypatch.setattr(report, "frobenius_dual_decomposition", recording)
@@ -330,7 +330,7 @@ class TestDualBatches:
         third = trial_duals[2]  # the dual built for dual-trial[trial=2]
 
         def flaky(lam, gam):
-            if not isinstance(gam, GFrame) and any(np.array_equal(d, third) for d in gam):
+            if not isinstance(gam, GFrame) and any(np.array_equal(d, third) for d in gam.families):
                 raise PostconditionError("injected")
             return real(lam, gam)
 
@@ -374,6 +374,95 @@ class TestDualBatches:
         short = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "duals", trials=3, seed=5)
         assert short.checks == long.checks[: len(short.checks)]
         assert len(long.checks) == len(short.checks) + 4 * 4
+
+
+class TestChecksOncePerFamily:
+    """Each random family is checked once, by its builder; the identities read that check."""
+
+    def test_each_family_is_checked_once(self, monkeypatch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        trials, per_batch = 7, 3  # batches of 3, 3 and 1 trials in each suite
+        monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+        want = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=trials, seed=7)
+        residual_stacks, gram_inputs, companions = [], [], []
+        real_residuals, real_matrices = model.dual_residuals, model.frame_matrices
+        real_companions = generators.canonical_parseval_stack
+
+        def dual_residuals(lam, stack):
+            residual_stacks.append(stack)
+            return real_residuals(lam, stack)
+
+        def frame_matrices(t):
+            gram_inputs.append(t)
+            return real_matrices(t)
+
+        def canonical_parseval_stack(t, fo):
+            made = real_companions(t, fo)
+            companions.append(made[0])
+            return made
+
+        monkeypatch.setattr(model, "dual_residuals", dual_residuals)
+        monkeypatch.setattr(model, "frame_matrices", frame_matrices)
+        monkeypatch.setattr(identities, "frame_matrices", frame_matrices)
+        monkeypatch.setattr(generators, "canonical_parseval_stack", canonical_parseval_stack)
+        got = run_suite(f, "all", trials=trials, seed=7)
+        assert got.checks == want.checks
+        canonical = canonical_dual(f).stacked
+        of_canonical = [d for d in residual_stacks if len(d) == 1 and np.array_equal(d[0], canonical)]
+        # The canonical dual's residual is formed once, by its postcondition (was 4 times).
+        assert len(of_canonical) == 1
+        # Each trial's dual is one slice of one residual stack, its builder's (was 3).
+        assert sum(len(d) for d in residual_stacks) - len(of_canonical) == trials
+        # Per batch, S' of the companions is formed once, by canonical_parseval_stack (was twice).
+        assert len(companions) == 2 * 3
+        assert [sum(t is p for t in gram_inputs) for p in companions] == [1] * len(companions)
+
+    def test_dual_command_forms_the_residual_once_per_dual(self, monkeypatch, capsys):
+        want = main(["dual", str(GOLDEN_NEARLY_PARSEVAL), "--magnitude", "1", "--seed", "3"]), capsys.readouterr()
+        residual_stacks = []
+        real = model.dual_residuals
+
+        def dual_residuals(lam, stack):
+            residual_stacks.append(stack)
+            return real(lam, stack)
+
+        monkeypatch.setattr(model, "dual_residuals", dual_residuals)
+        got = main(["dual", str(GOLDEN_NEARLY_PARSEVAL), "--magnitude", "1", "--seed", "3"]), capsys.readouterr()
+        assert got == want
+        # The canonical dual's postcondition and the random dual's certificate, which the command prints.
+        assert [len(d) for d in residual_stacks] == [1, 1]
+
+    def test_injected_failures_get_the_builders_errors(self, monkeypatch):
+        f = load_frame(GOLDEN_NEARLY_PARSEVAL)
+        monkeypatch.setattr(generators, "BATCH_BYTES", 2 * 16 * f.stacked.size)
+        good = run_suite(f, "all", trials=4, seed=7)
+        real_companions, real_duals = generators.canonical_parseval_stack, duals._perturbed_duals
+
+        def not_parseval(t, fo):
+            return real_companions(2.0 * t, fo)  # each transform has S' = 4 I
+
+        def not_dual(lam, magnitude, seeds):
+            stack = real_duals(lam, magnitude, seeds)
+            stack[-1] *= 2.0  # the last dual of each batch: the dual equation gives 2 I
+            return stack
+
+        monkeypatch.setattr(generators, "canonical_parseval_stack", not_parseval)
+        monkeypatch.setattr(duals, "_perturbed_duals", not_dual)
+        bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
+        errors = [c.name for c in bad.checks if "[error: " in c.name]
+        companion_rows = [f"{row}[trial={j}]" for row in ("weighted-energy", "parseval-approx-identity")
+                          for j in range(4)]
+        assert [name.split(" [error")[0] for name in errors] == companion_rows + [
+            "dual-trial[trial=1]", "dual-trial[trial=3]"]
+        assert all("[error: PostconditionError: canonical Parseval frame is not Parseval: " in name
+                   for name in errors[:8])
+        assert all("[error: NotADualError: family is not an alternate dual: " in name for name in errors[8:])
+        # Trials 0 and 2 keep their dual rows value for value.
+        kept = [c for c in bad.checks if c.name.startswith(("dual-equation[", "frobenius-dual-identity[",
+                                                            "pointwise-dual-"))]
+        assert kept == [c for c in good.checks if c.name.startswith((
+            "dual-equation[", "frobenius-dual-identity[", "pointwise-dual-"))
+            and not c.name.endswith(("[trial=1]", "[trial=3]"))]
 
 
 class TestRendering:
