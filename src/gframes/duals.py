@@ -103,7 +103,8 @@ def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
             for outcome in outcomes
         ]
 
-    yield from generators.in_batches(build, seeds, 16 * lam.stacked.size)
+    item_bytes = generators.batch_item_bytes(*lam.stacked.shape, companion=False)
+    yield from generators.in_batches(build, seeds, item_bytes)
 
 
 def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:

@@ -16,7 +16,7 @@ class ConvergenceError(GFrameError):
 
 
 class FrameOverflowError(GFrameError):
-    """The frame operator S = T* T, a power of S, or a dual perturbation overflows double precision."""
+    """S = T* T, a power of S, a spectral gap or a dual perturbation overflows double precision."""
 
 
 class NotPositiveDefiniteError(GFrameError):

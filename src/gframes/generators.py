@@ -20,11 +20,19 @@ from .model import (
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
-# A batch of in_batches holds at most this many bytes of stacked T (K * n * 16
-# per random frame or dual). Batching pays on small frames, where per-call
-# overhead dominates; a batch's temporaries peak at a few times its T, so a
-# larger budget would raise peak memory without saving time on large frames.
-BATCH_BYTES = 1 << 17
+# Batches of in_batches hold items whose working sets (batch_item_bytes) add up
+# to at most this. Batching pays on small frames, where per-call overhead
+# dominates: 1 MiB holds 15 companions of a 256 x 4 frame, 3 of a 48 x 48 one.
+BATCH_BYTES = 1 << 20
+
+
+def batch_item_bytes(k: int, n: int, companion: bool) -> int:
+    """Working set of one random dual, or one random Parseval companion, of a K x n frame in a batch.
+
+    Four K x n stacks of 16-byte entries, and for a companion four n x n ones
+    (S, its eigenvectors, the power): within a few percent of the traced peak, or above it.
+    """
+    return 16 * 4 * (k * n + (n * n if companion else 0))
 
 
 def _check_params(n: int, counts) -> tuple[int, ...]:
@@ -52,10 +60,11 @@ def in_batches(build, items, item_bytes: int):
     """Yield build's outcome for each item, in order, building batches of at most BATCH_BYTES.
 
     build(batch) returns one outcome per item of the batch: a value, or the
-    exception that stopped that item (read either with `unwrap`). A batch
-    holds max(1, BATCH_BYTES // item_bytes) items. When a whole build raises,
-    its items are built again one at a time, so each exception stays with
-    its own item.
+    exception that stopped that item (read either with `unwrap`). item_bytes
+    is the working set one item adds to a build (batch_item_bytes), and a
+    batch holds max(1, BATCH_BYTES // item_bytes) items. When a whole build
+    raises, its items are built again one at a time, so each exception stays
+    with its own item.
     """
     items = list(items)
     size = max(1, BATCH_BYTES // item_bytes)
@@ -158,7 +167,7 @@ def random_parseval_gframes(n: int, counts, seeds):
         return [GFrame.from_stacked(next(made), counts) if outcome is None else outcome
                 for outcome in outcomes]
 
-    yield from in_batches(build, seeds, 16 * sum(counts) * n)
+    yield from in_batches(build, seeds, batch_item_bytes(sum(counts), n, companion=True))
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:

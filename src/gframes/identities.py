@@ -248,11 +248,19 @@ def spectral_parseval_gap(lam: GFrame) -> float:
 
 
 def canonical_dual_gap(lam: GFrame) -> float:
-    """Spectral form sum_k (lambda_k - 1)^2 / lambda_k of the distance to the canonical dual."""
+    """Spectral form sum_k (lambda_k - 1)^2 / lambda_k of the distance to the canonical dual.
+
+    Raises FrameOverflowError beyond the double range (a subnormal lambda_min(S)).
+    """
     validate_frame(lam)
     lam_k = frame_operator(lam).eig.eigenvalues
     # Dividing before multiplying keeps (lambda - 1)^2 from overflowing at large lambda.
-    return float(np.sum((lam_k - 1.0) * ((lam_k - 1.0) / lam_k)))
+    with np.errstate(over="ignore"):
+        gap = float(np.sum((lam_k - 1.0) * ((lam_k - 1.0) / lam_k)))
+    if not np.isfinite(gap):
+        raise FrameOverflowError(f"frame is too small: the canonical dual gap overflows double precision "
+                                 f"(lambda_min(S) = {float(lam_k[-1]):.3e})")
+    return gap
 
 
 def pointwise_dual_tolerance(total):

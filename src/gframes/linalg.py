@@ -115,7 +115,7 @@ def _require_hermitian(a: np.ndarray) -> None:
         )
 
 
-def hermitian_eig(m) -> HermitianEigen:
+def hermitian_eig(m, *, check: bool = True) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     The input must be square and finite. Asymmetry beyond
@@ -128,17 +128,21 @@ def hermitian_eig(m) -> HermitianEigen:
     as it would be alone, in one numpy.linalg.eigh call, and the result holds
     (..., n) eigenvalues and (..., n, n) eigenvectors. A matrix that fails a
     check raises the error its 2-d call would raise.
+
+    check=False skips the input checks, for an S = T* T from model.frame_matrices:
+    finite, as that function checked, and Hermitian by construction.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2:
-        raise ValueError(f"m must be two-dimensional, got shape {a.shape}")
-    if min(a.shape) < 1:
-        raise ValueError(f"m must have positive dimensions, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("m contains non-finite entries")
-    if a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
-    _require_hermitian(a)
+    if check:
+        if a.ndim < 2:
+            raise ValueError(f"m must be two-dimensional, got shape {a.shape}")
+        if min(a.shape) < 1:
+            raise ValueError(f"m must have positive dimensions, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("m contains non-finite entries")
+        if a.shape[-2] != a.shape[-1]:
+            raise ValueError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
+        _require_hermitian(a)
 
     try:
         # Halving each term first keeps the sum finite for entries up to the double maximum.

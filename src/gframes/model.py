@@ -147,7 +147,8 @@ class FrameOperator:
     The eigendecomposition, the rank gate and the powers are computed on first
     use, for every frame of a stack at once; each matrix is decomposed and
     powered as it would be alone. For one frame, `matrix`, `eig` and
-    `power(a)` are n x n; `bounds` is defined for one frame only.
+    `power(a)` are n x n; `bounds` is defined for one frame only. `matrix`
+    comes from frame_matrices, so hermitian_eig skips its input checks.
     """
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
@@ -167,7 +168,7 @@ class FrameOperator:
     @property
     def eig(self) -> HermitianEigen:
         if self._eig is None:
-            self._eig = hermitian_eig(self.matrix)
+            self._eig = hermitian_eig(self.matrix, check=False)
         return self._eig
 
     @property

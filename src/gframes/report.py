@@ -9,9 +9,9 @@ byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .duals import (
     proximity_slack,
     verify_alternate_dual,
 )
-from .generators import in_batches, parseval_companions, unwrap
+from .generators import batch_item_bytes, in_batches, parseval_companions, unwrap
 from .identities import (
     canonical_dual_gap,
     dual_closed_form_tolerance,
@@ -128,7 +128,7 @@ def _companion_terms(f: GFrame, seeds: list[int], terms):
             outcomes = [next(values) if outcome is None else outcome for outcome in outcomes]
         return outcomes
 
-    return in_batches(build, seeds, 16 * f.stacked.size)
+    return in_batches(build, seeds, batch_item_bytes(*f.stacked.shape, companion=True))
 
 
 def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
@@ -280,7 +280,8 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     # Every trial's (seed, probe) pair is drawn before any dual, so trial j's draws depend on (seed, j) alone.
     drawn = [(_child_seed(master), probe()) for _ in range(trials)]
-    for j, outcome in enumerate(in_batches(build, drawn, 16 * f.stacked.size)):
+    item_bytes = batch_item_bytes(*f.stacked.shape, companion=False)
+    for j, outcome in enumerate(in_batches(build, drawn, item_bytes)):
         def trial_rows(j=j, outcome=outcome):
             cert, (total, canonical_term, residual), (ptotal, pcanon, pres) = unwrap(outcome)
             return [
@@ -374,7 +375,7 @@ def render_json(obj, indent: int = 0) -> str:
             raise ValueError(f"non-finite value in report: {obj!r}")
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps returns for a str
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -386,29 +387,20 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(item) is int for item in obj):  # a frame's counts: one join, no call per entry
+            inner = f",\n{pad}  ".join(map(str, obj))
+            return f"[\n{pad}  {inner}\n{pad}]"
         inner = ",\n".join(f"{pad}  {render_json(item, indent + 1)}" for item in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
-# One check of render_json(report_to_dict(report)), at its depth in the report.
+# One check of render_json(report_to_dict(report)), at its depth in the report;
+# %.17g is the conversion of format(x, ".17g").
 _CHECK_JSON = (
-    '    {{\n      "name": {},\n      "lhs": {},\n      "rhs": {},\n      "residual": {},\n'
-    '      "tolerance": {},\n      "passed": {}\n    }}'
+    '    {\n      "name": %s,\n      "lhs": %.17g,\n      "rhs": %.17g,\n      "residual": %.17g,\n'
+    '      "tolerance": %.17g,\n      "passed": %s\n    }'
 )
-
-
-def _field_json(value) -> str:
-    """render_json of one field of a check; the fields' own types are formatted here."""
-    if type(value) is str:
-        return json.dumps(value)
-    if type(value) is float:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value in report: {value!r}")
-        return format(value, ".17g")
-    if type(value) is bool:
-        return "true" if value else "false"
-    return render_json(value, 3)
 
 
 def render_report_json(report: VerificationReport) -> str:
@@ -417,15 +409,17 @@ def render_report_json(report: VerificationReport) -> str:
     The generic render_json recurses once per value, about 1,300 times for
     an 81-check report; here each check is one format call.
     """
-    checks = ",\n".join(
-        _CHECK_JSON.format(
-            _field_json(c.name), _field_json(c.lhs), _field_json(c.rhs), _field_json(c.residual),
-            _field_json(c.tolerance), _field_json(c.passed))
-        for c in report.checks
-    )
+    rows = []
+    for c in report.checks:
+        numbers = (c.lhs, c.rhs, c.residual, c.tolerance)
+        if not all(map(math.isfinite, numbers)):
+            value = next(x for x in numbers if not math.isfinite(x))
+            raise ValueError(f"non-finite value in report: {value!r}")
+        passed = "true" if c.passed else "false"
+        rows.append(_CHECK_JSON % (encode_basestring_ascii(c.name), *numbers, passed))
     return (
         '{\n  "frame_summary": ' + render_json(report.frame_summary, 1)
-        + ',\n  "checks": ' + ("[\n" + checks + "\n  ]" if checks else "[]")
+        + ',\n  "checks": ' + ("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
         + ',\n  "overall": ' + render_json(report.overall, 1) + "\n}"
     )
 

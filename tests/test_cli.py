@@ -97,6 +97,16 @@ class TestAnalyze:
         fields = parse_kv(out)
         assert float(fields["parseval_gap"]) == pytest.approx(0.02, abs=1e-9)
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_overflowing_dual_gap_exits_2(self, json_flag, capsys, tmp_path):
+        # lambda_min(S) is subnormal, so sum (lambda - 1)^2 / lambda is beyond the double range.
+        path = tmp_path / "tiny.json"
+        save_frame(GFrame([1e-155 * np.eye(2)[0:1], 1e-155 * np.eye(2)[1:2]]), path)
+        code, out, err = run(capsys, "analyze", str(path), *json_flag)
+        assert code == 2
+        assert out == ""
+        assert "canonical dual gap overflows double precision" in err
+
     def test_rank_deficient_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         write_rank_deficient(path)

@@ -278,7 +278,7 @@ class TestRandomAlternateDualBatches:
     )
     def test_batches_equal_one_seed_calls(self, n, extra, per_batch, seeds, magnitude):
         lam = random_gframe(n, (n, *extra), seed=len(extra))
-        budget = per_batch * 16 * lam.stacked.size
+        budget = per_batch * generators.batch_item_bytes(*lam.stacked.shape, companion=False)
         sizes = []
         real_stack = duals.complex_gaussian_stack
 

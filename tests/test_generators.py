@@ -12,6 +12,7 @@ from gframes.errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
 from gframes.linalg import RANK_TOLERANCE, frobenius_norm
 from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
+    batch_item_bytes,
     embed_vector_frame,
     in_batches,
     nearly_parseval_gframe,
@@ -257,18 +258,18 @@ class TestRandomParsevalBatches:
     )
     def test_batches_equal_per_seed_reference(self, n, extra, per_batch, seeds):
         counts = (n, *extra)
-        budget = per_batch * 16 * sum(counts) * n
+        budget = per_batch * batch_item_bytes(sum(counts), n, companion=True)
         sizes = []
         real_eig = model.hermitian_eig
 
-        def counting_eig(m):
+        def counting_eig(m, **kwargs):
             sizes.append(m.shape[0])
-            return real_eig(m)
+            return real_eig(m, **kwargs)
 
         with mock.patch.object(generators, "BATCH_BYTES", budget), \
                 mock.patch.object(model, "hermitian_eig", counting_eig):
             got = list(random_parseval_gframes(n, counts, seeds))
-        # Each batch held at most the budget of T, and the seeds crossed it when there were enough.
+        # Each batch held at most the budget's items, and the seeds crossed it when there were enough.
         assert sum(sizes) == len(seeds) and max(sizes) <= per_batch
         assert len(sizes) == -(-len(seeds) // per_batch)
         for seed, companion in zip(seeds, got):

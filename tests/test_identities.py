@@ -409,6 +409,18 @@ class TestCanonicalDualGapAtLargeScale:
         assert canonical_dual_gap(f) == pytest.approx(oracle, rel=1e-12)
 
 
+class TestCanonicalDualGapAtSmallScale:
+    """A gap beyond the double range, as a subnormal lambda_min(S) gives, is FrameOverflowError, not inf."""
+
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
+    def test_subnormal_spectrum_raises(self, name):
+        g = load_frame(Path(__file__).parent / "data" / "golden" / f"{name}.frame.json")
+        f = GFrame.from_stacked(1e-155 * g.stacked, like=g)
+        assert frame_operator(f).eig.eigenvalues[-1] < np.finfo(np.float64).tiny
+        with pytest.raises(FrameOverflowError, match="canonical dual gap overflows"):
+            canonical_dual_gap(f)
+
+
 class TestPowerTraceOverflow:
     """Terms beyond the double range raise FrameOverflowError instead of leaking inf or warnings."""
 

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gframes import model
+from gframes import linalg, model
 from gframes.duals import random_alternate_dual
 from gframes.errors import FrameOverflowError, NotAFrameError, PostconditionError
 from gframes.identities import (
@@ -16,7 +16,7 @@ from gframes.identities import (
     parseval_frobenius_budget,
     parseval_gap,
 )
-from gframes.linalg import frobenius_norm
+from gframes.linalg import frobenius_norm, hermitian_eig
 from gframes.model import (
     FrameOperator,
     GFrame,
@@ -392,7 +392,7 @@ class TestTransformPostconditions:
     def test_parseval_check_needs_no_eigendecomposition(self, monkeypatch):
         p = canonical_parseval(random_gframe(4, (2, 3), seed=7))
 
-        def refuse(_):
+        def refuse(*_, **__):
             raise AssertionError("a Parseval check must not decompose S")
 
         monkeypatch.setattr(model, "hermitian_eig", refuse)
@@ -532,6 +532,38 @@ class TestStackedFrameOperator:
                 fo.power(a)
             assert str(got.value) == str(first)
             assert got.value.lambda_min == first.lambda_min
+
+
+class TestLibraryFormedS:
+    """S from frame_matrices is Hermitian by construction, so FrameOperator decomposes it unchecked."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        counts=st.one_of(
+            st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),  # blocked
+            st.integers(min_value=1, max_value=12).map(lambda k: [1] * k),  # rank-one
+        ),
+        frames=st.integers(min_value=1, max_value=3),
+        j=st.integers(min_value=-545, max_value=515),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=4, counts=[2, 3], frames=2, j=-530, seed=1)  # every entry of S subnormal
+    @example(n=4, counts=[1] * 6, frames=1, j=-520, seed=2)
+    @example(n=3, counts=[3, 3], frames=3, j=509, seed=3)  # S near the double maximum
+    def test_formed_s_passes_the_hermitian_check(self, n, counts, frames, j, seed):
+        rng = np.random.default_rng(seed)
+        shape = (frames, sum(counts), n)
+        t = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0**j
+        try:
+            s = frame_matrices(t)
+        except FrameOverflowError:
+            assume(False)  # S is not finite: no FrameOperator is built
+        linalg._require_hermitian(s)  # the check FrameOperator skips never rejects S
+        for matrix in (s, s[0]):
+            got, want = FrameOperator(matrix).eig, hermitian_eig(matrix)
+            assert same_bits(got.eigenvalues, want.eigenvalues)
+            assert same_bits(got.eigenvectors.view(np.float64), want.eigenvectors.view(np.float64))
 
 
 def test_dual_residual_overflow_is_inf():

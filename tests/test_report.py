@@ -38,6 +38,12 @@ def scaled_golden_frame(c):
     return GFrame.from_stacked(c * g.stacked, g.counts)
 
 
+def batches_of(monkeypatch, items):
+    """Make each in_batches batch of the suites hold `items` companions or duals (the last may hold fewer)."""
+    monkeypatch.setattr(generators, "BATCH_BYTES", items)
+    monkeypatch.setattr(report, "batch_item_bytes", lambda k, n, companion: 1)
+
+
 class TestChecks:
     def test_equality_check(self):
         c = equality_check("x", 1.0, 1.0 + 1e-12, 1e-9)
@@ -286,12 +292,37 @@ class TestCompanionBatches:
         assert peak <= 1.5 * 1.10e6
 
 
+class TestBatchBudget:
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
+    def test_report_ignores_the_batch_budget(self, monkeypatch, name):
+        def report_json(items=None):
+            with monkeypatch.context() as patched:
+                if items:
+                    batches_of(patched, items)
+                f = load_frame(GOLDEN / f"{name}.frame.json")
+                return render_report_json(run_suite(f, "all", trials=6, seed=11))
+
+        default = report_json()
+        assert report_json(items=1) == default  # one companion or dual per batch
+        assert report_json(items=6) == default  # every trial of a suite in one batch
+
+    def test_budget_fits_the_benchmark_shapes(self):
+        def per_batch(k, n, companion):
+            return generators.BATCH_BYTES // generators.batch_item_bytes(k, n, companion)
+
+        # 10 vectors-n4 trials (256 x 4) in one build per suite, companions and duals alike.
+        assert per_batch(256, 4, companion=True) >= 10 and per_batch(256, 4, companion=False) >= 10
+        # blocks-n48 (48 x 48): 5 duals in one build, companions 3 at a time.
+        assert per_batch(48, 48, companion=False) >= 5
+        assert per_batch(48, 48, companion=True) == 3
+
+
 class TestDualBatches:
     @pytest.mark.parametrize("per_batch", [None, 2])
     def test_failed_dual_is_only_its_own_row(self, monkeypatch, per_batch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         if per_batch:
-            monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+            batches_of(monkeypatch, per_batch)
         good = run_suite(f, "all", trials=4, seed=7)
         real = duals.complex_gaussian_stack
         drawn = itertools.count()
@@ -316,7 +347,7 @@ class TestDualBatches:
     def test_failed_stacked_terms_are_only_their_own_row(self, monkeypatch, per_batch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         if per_batch:
-            monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+            batches_of(monkeypatch, per_batch)
         real = report.frobenius_dual_decomposition
         trial_duals = []
 
@@ -381,8 +412,8 @@ class TestChecksOncePerFamily:
 
     def test_each_family_is_checked_once(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
-        trials, per_batch = 7, 3  # batches of 3, 3 and 1 trials in each suite
-        monkeypatch.setattr(generators, "BATCH_BYTES", per_batch * 16 * f.stacked.size)
+        trials = 7
+        batches_of(monkeypatch, 3)  # batches of 3, 3 and 1 trials in each suite
         want = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=trials, seed=7)
         residual_stacks, gram_inputs, companions = [], [], []
         real_residuals, real_matrices = model.dual_residuals, model.frame_matrices
@@ -434,7 +465,7 @@ class TestChecksOncePerFamily:
 
     def test_injected_failures_get_the_builders_errors(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
-        monkeypatch.setattr(generators, "BATCH_BYTES", 2 * 16 * f.stacked.size)
+        batches_of(monkeypatch, 2)
         good = run_suite(f, "all", trials=4, seed=7)
         real_companions, real_duals = generators.canonical_parseval_stack, duals._perturbed_duals
 
@@ -475,6 +506,10 @@ class TestRendering:
         report = run_suite(f, "bounds", trials=1, seed=0)
         doc = json.loads(render_json(report_to_dict(report)))
         assert doc["overall"] is True
+
+    def test_int_lists_keep_the_generic_layout(self):
+        doc = {"counts": [1, 22, 3], "nested": [[4], [5, 6], []], "mixed": [1, True, None, "x"]}
+        assert render_json(doc) == json.dumps(doc, indent=2)
 
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
