@@ -6,7 +6,6 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from . import generators
 from .errors import EpsilonOutOfRangeError, FrameOverflowError, GFrameError, PostconditionError
 from .identities import canonical_dual_gap, parseval_gap
 from .model import (  # verify_alternate_dual is re-exported here
@@ -76,8 +75,8 @@ def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[Du
     return DualStack(lam, duals), outcomes
 
 
-def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
-    """Verified alternate duals at a chosen distance scale from the canonical one, in seed order.
+def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
+    """A verified alternate dual at a chosen distance scale from the canonical one.
 
     Starting from the canonical dual, each operator gains a perturbation
     theta_i = delta_i - lam_i S^(-1) (sum_j adjoint(lam_j) delta_j) where the
@@ -85,32 +84,15 @@ def random_alternate_duals(lam: GFrame, magnitude: float, seeds):
     The projection annihilates sum(adjoint(lam_i) theta_i), so the dual
     equation survives any magnitude; magnitude 0 gives the canonical dual.
 
-    Yields, for each seed, its dual or the exception that stopped it (read
-    either with generators.unwrap): FrameOverflowError when the perturbation
-    overflows, and NotADualError when round-off at a huge magnitude breaks
-    the equation. The draws, the projection and the dual-equation check run
-    as stacked products (`certified_duals`), in the batches of
-    generators.in_batches. Each dual keeps its certificate, which
+    The one-seed case of certified_duals: raises FrameOverflowError when the
+    perturbation overflows, and NotADualError when round-off at a huge
+    magnitude breaks the equation. The dual keeps its certificate, which
     verify_alternate_dual(lam, dual) gives back.
     """
-
-    def build(batch: list[int]) -> list:
-        duals, outcomes = certified_duals(lam, magnitude, batch)
-        made = iter(() if duals is None else duals.families)
-        return [
-            certify_dual(lam, GFrame.from_stacked(next(made), like=lam), outcome)
-            if isinstance(outcome, DualCertificate) else outcome
-            for outcome in outcomes
-        ]
-
-    item_bytes = generators.batch_item_bytes(*lam.stacked.shape, companion=False)
-    yield from generators.in_batches(build, seeds, item_bytes)
-
-
-def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
-    """The one-seed case of random_alternate_duals; raises the exception that stopped the seed."""
-    (dual,) = random_alternate_duals(lam, magnitude, [seed])
-    return generators.unwrap(dual)
+    duals, (outcome,) = certified_duals(lam, magnitude, [seed])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return certify_dual(lam, GFrame.from_stacked(duals.families[0], like=lam), outcome)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

@@ -136,8 +136,8 @@ def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> tu
     """Canonical Parseval transforms of the seeds' random Gaussian frames, as one stack.
 
     n and counts are taken as checked: counts is a tuple of positive ints
-    adding up to at least n, as random_parseval_gframes checks once per call
-    and as a frame's own shape is. Returns (companions, outcomes).
+    adding up to at least n, as random_parseval_gframe checks and as a
+    frame's own shape is. Returns (companions, outcomes).
     outcomes[i] is None when seed i drew a frame, and otherwise the
     GFrameError of a seed that never drew one. companions is the
     model.ParsevalStack of the transforms of the seeds that drew a frame, in
@@ -151,29 +151,13 @@ def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> tu
         outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
 
 
-def random_parseval_gframes(n: int, counts, seeds):
-    """Canonical Parseval transforms of random Gaussian frames, one per seed, in seed order.
-
-    Yields, for each seed, the frame random_parseval_gframe(n, counts, seed)
-    returns, or the exception it raises, so a failure stays with its seed
-    (read either with `unwrap`). The frames are built by parseval_companions,
-    in the batches of `in_batches`, as the iteration reaches them.
-    """
-    counts = _check_params(n, counts)
-
-    def build(batch: list[int]) -> list:
-        companions, outcomes = parseval_companions(n, counts, batch)
-        made = iter(() if companions is None else companions.families)
-        return [GFrame.from_stacked(next(made), counts) if outcome is None else outcome
-                for outcome in outcomes]
-
-    yield from in_batches(build, seeds, batch_item_bytes(sum(counts), n, companion=True))
-
-
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:
-    """Canonical Parseval transform of a random Gaussian frame."""
-    (companion,) = random_parseval_gframes(n, counts, [seed])
-    return unwrap(companion)
+    """Canonical Parseval transform of a random Gaussian frame: the one-seed case of parseval_companions."""
+    counts = _check_params(n, counts)
+    companions, (outcome,) = parseval_companions(n, counts, [seed])
+    if outcome is not None:
+        raise outcome
+    return GFrame.from_stacked(companions.families[0], counts)
 
 
 def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -212,8 +196,7 @@ def embed_vector_frame(vectors) -> GFrame:
     vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
     if not vecs:
         raise ValueError("need at least one vector")
-    n = vecs[0].shape[0] if vecs[0].ndim == 1 else -1
     for idx, v in enumerate(vecs):
-        if v.ndim != 1 or v.shape[0] != n:
-            raise ValueError(f"vector {idx} must be one-dimensional of length {n}")
+        if v.ndim != 1 or v.shape != vecs[0].shape:
+            raise ValueError(f"vector {idx} has shape {v.shape}; need one-dimensional vectors of one length")
     return GFrame.from_stacked(np.conj(vecs), (1,) * len(vecs))

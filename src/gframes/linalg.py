@@ -60,8 +60,7 @@ def adjoint(m) -> np.ndarray:
 
 def frobenius_norm_sq(m) -> float:
     """Sum of squared moduli of all entries."""
-    arr = as_matrix(m)
-    return float(np.sum(arr.real * arr.real + arr.imag * arr.imag))
+    return float(frobenius_norms_sq(as_matrix(m)))
 
 
 def frobenius_norms_sq(m: np.ndarray) -> np.ndarray:
@@ -150,13 +149,8 @@ def hermitian_eig(m, *, check: bool = True) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
     order = np.argsort(-w, axis=-1, kind="stable")
-    # Flat indices put every matrix's eigenpairs in its order with one gather each:
-    # matrix b starts at b*n in w, and its row i at (b*n + i)*n in vec.
-    n = w.shape[-1]
-    first = np.arange(0, w.size, n).reshape(*w.shape[:-1], 1)
-    eigenvalues = w.reshape(-1)[first + order]
-    rows = first * n + np.arange(0, n * n, n)
-    eigenvectors = vec.reshape(-1)[rows[..., np.newaxis] + order[..., np.newaxis, :]]
+    eigenvalues = np.take_along_axis(w, order, axis=-1)
+    eigenvectors = np.take_along_axis(vec, order[..., np.newaxis, :], axis=-1)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -453,7 +453,7 @@ def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:
     """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h.
 
     A dual that its builder certified against lam (canonical_dual,
-    duals.random_alternate_duals) gives back that certificate.
+    duals.certified_duals) gives back that certificate.
     """
     require_matching_shapes(lam, gam)
     if gam._certificate is not None and gam._certificate[0] is lam.stacked:

@@ -135,25 +135,17 @@ def standard_normal_batches(gen: np.random.Generator, batches: int, count: int) 
 
 
 def complex_gaussian_stack(gens, counts, cols: int) -> np.ndarray:
-    """complex_gaussian_blocks for each generator, as one len(gens) x sum(counts) x cols array.
+    """Blocks of counts[i] x cols complex Gaussians for each generator, as one len(gens) x sum(counts) x cols array.
 
-    Each generator draws exactly what it would draw alone; only the layout
-    and the transform are shared along the generator axis.
+    A generator's row equals stacking the complex_gaussian_matrix draws it
+    would make alone, one block after another: each block's real batch is
+    drawn before its imaginary batch. Only the layout and the transform are
+    shared along the generator axis.
     """
     counts = tuple(counts)
     return _box_muller_batches(gens, counts, cols, pair=True).reshape(len(gens), sum(counts), cols)
 
 
-def complex_gaussian_blocks(gen: np.random.Generator, counts, cols: int) -> np.ndarray:
-    """Blocks of counts[i] x cols complex Gaussians, stacked into one sum(counts) x cols array.
-
-    Each block has independent standard-Gaussian real and imaginary parts,
-    its real batch drawn before its imaginary batch, so the result equals
-    stacking complex_gaussian_matrix draws made one block after another.
-    """
-    return complex_gaussian_stack([gen], counts, cols)[0]
-
-
 def complex_gaussian_matrix(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Independent standard-Gaussian real and imaginary parts (real block drawn first)."""
-    return complex_gaussian_blocks(gen, (rows,), cols)
+    return complex_gaussian_stack([gen], (rows,), cols)[0]

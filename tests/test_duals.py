@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gframes import duals, generators
+from gframes import duals
 from gframes.errors import (
     EpsilonOutOfRangeError,
     FrameOverflowError,
@@ -16,18 +16,18 @@ from gframes.errors import (
     PostconditionError,
 )
 from gframes.duals import (
+    certified_duals,
     dual_proximity_bound,
     extremal_frame,
     parseval_proximity_bound,
     random_alternate_dual,
-    random_alternate_duals,
     verify_alternate_dual,
 )
 from gframes.identities import canonical_dual_gap, parseval_gap, pointwise_dual_decomposition
 from gframes.linalg import frobenius_norm, matrix_power
-from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator, validate_frame
-from gframes.generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe, unwrap
-from gframes.rng import complex_gaussian_blocks, stream
+from gframes.model import DualCertificate, GFrame, canonical_dual, canonical_parseval, frame_operator, validate_frame
+from gframes.generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
+from gframes.rng import complex_gaussian_matrix, stream
 
 
 def diagonal_frame(values):
@@ -251,9 +251,10 @@ class TestExtremalFrame:
 
 
 def reference_dual(lam, magnitude, seed):
-    """One seed at a time, on K x n arrays: draw, rescale each block to norm `magnitude`, project."""
+    """One seed at a time, on K x n arrays: draw block by block, rescale each block to norm `magnitude`, project."""
     t = lam.stacked
-    blocks = complex_gaussian_blocks(stream(seed), lam.counts, lam.dim_h)
+    gen = stream(seed)
+    blocks = np.vstack([complex_gaussian_matrix(gen, k, lam.dim_h) for k in lam.counts])
     norms = np.sqrt(np.add.reduceat(np.sum(blocks.real**2 + blocks.imag**2, axis=1), lam.offsets[:-1]))
     scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
     deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
@@ -266,19 +267,17 @@ def same_bits(a, b):
 
 
 class TestRandomAlternateDualBatches:
-    """Duals built in stacked batches equal the one-seed-at-a-time construction bit for bit."""
+    """Duals built as one stack equal the one-seed-at-a-time construction bit for bit."""
 
     @settings(deadline=None, max_examples=40)
     @given(
         n=st.integers(min_value=1, max_value=5),
         extra=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=6),
-        per_batch=st.integers(min_value=1, max_value=4),
         seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=9),
         magnitude=st.floats(min_value=0.0, max_value=10.0),
     )
-    def test_batches_equal_one_seed_calls(self, n, extra, per_batch, seeds, magnitude):
+    def test_batches_equal_one_seed_calls(self, n, extra, seeds, magnitude):
         lam = random_gframe(n, (n, *extra), seed=len(extra))
-        budget = per_batch * generators.batch_item_bytes(*lam.stacked.shape, companion=False)
         sizes = []
         real_stack = duals.complex_gaussian_stack
 
@@ -286,14 +285,19 @@ class TestRandomAlternateDualBatches:
             sizes.append(len(gens))
             return real_stack(gens, counts, cols)
 
-        with mock.patch.object(generators, "BATCH_BYTES", budget), \
-                mock.patch.object(duals, "complex_gaussian_stack", counting_stack):
-            got = list(random_alternate_duals(lam, magnitude, seeds))
-        assert sizes == [min(per_batch, len(seeds) - start) for start in range(0, len(seeds), per_batch)]
-        for seed, dual in zip(seeds, got):
+        with mock.patch.object(duals, "complex_gaussian_stack", counting_stack):
+            stack, outcomes = certified_duals(lam, magnitude, seeds)
+        # Every seed is drawn in one stacked call.
+        assert sizes == [len(seeds)]
+        assert all(isinstance(outcome, DualCertificate) for outcome in outcomes)
+        assert stack.frame is lam and len(stack.families) == len(seeds)
+        for seed, family, cert in zip(seeds, stack.families, outcomes):
+            reference = reference_dual(lam, magnitude, seed)
+            assert same_bits(family, reference)
+            dual = random_alternate_dual(lam, magnitude, seed)
             assert isinstance(dual, GFrame) and dual.counts == lam.counts
-            assert same_bits(dual.stacked, reference_dual(lam, magnitude, seed))
-            assert same_bits(dual.stacked, random_alternate_dual(lam, magnitude, seed).stacked)
+            assert same_bits(dual.stacked, reference)
+            assert verify_alternate_dual(lam, dual) == cert
 
     def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
         lam = random_gframe(3, (2, 2), seed=4)
@@ -313,15 +317,19 @@ class TestRandomAlternateDualBatches:
 
         monkeypatch.setattr(duals, "stream", recording_stream)
         monkeypatch.setattr(duals, "complex_gaussian_stack", poisoned_stack)
-        got = list(random_alternate_duals(lam, 1.0, seeds))
-        assert isinstance(got[1], RuntimeError)
-        for j in (0, 2):
-            assert same_bits(got[j].stacked, reference_dual(lam, 1.0, seeds[j]))
+        with pytest.raises(RuntimeError, match="poisoned draw"):
+            certified_duals(lam, 1.0, seeds)
+        with pytest.raises(RuntimeError, match="poisoned draw"):
+            random_alternate_dual(lam, 1.0, bad)
+        for seed in seeds:
+            if seed != bad:
+                assert same_bits(random_alternate_dual(lam, 1.0, seed).stacked, reference_dual(lam, 1.0, seed))
 
     def test_each_seed_keeps_its_own_check_failure(self):
         # At magnitude 1e10 the round-off of each seed's projection misses the dual equation.
         lam, seeds = extremal_frame(4, 0.25), [0, 1, 2]
-        got = list(random_alternate_duals(lam, 1e10, seeds))
+        stack, got = certified_duals(lam, 1e10, seeds)
+        assert stack is None
         assert all(isinstance(outcome, NotADualError) for outcome in got)
         assert len({outcome.residual for outcome in got}) == len(seeds)
         for seed, outcome in zip(seeds, got):
@@ -330,12 +338,16 @@ class TestRandomAlternateDualBatches:
             assert str(alone.value) == str(outcome)
             assert alone.value.residual == outcome.residual
 
-    def test_setup_failure_is_yielded_for_every_seed(self, monkeypatch):
+    def test_setup_failure_raises_for_every_seed(self, monkeypatch):
         def fail(f):
             raise PostconditionError("canonical dual fails the dual equation")
 
         monkeypatch.setattr(duals, "canonical_dual", fail)
-        got = list(random_alternate_duals(random_gframe(3, (2, 2), seed=4), 1.0, [1, 2, 3]))
-        assert [type(outcome) for outcome in got] == [PostconditionError] * 3
+        lam = random_gframe(3, (2, 2), seed=4)
+        with pytest.raises(PostconditionError):
+            certified_duals(lam, 1.0, [1, 2, 3])
+        for seed in (1, 2, 3):
+            with pytest.raises(PostconditionError):
+                random_alternate_dual(lam, 1.0, seed)
         with pytest.raises(ValueError, match="magnitude must be non-negative"):
-            unwrap(next(random_alternate_duals(random_gframe(3, (2, 2), seed=4), -1.0, [1])))
+            certified_duals(lam, -1.0, [1])

@@ -12,13 +12,12 @@ from gframes.errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
 from gframes.linalg import RANK_TOLERANCE, frobenius_norm
 from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
-    batch_item_bytes,
     embed_vector_frame,
     in_batches,
     nearly_parseval_gframe,
+    parseval_companions,
     random_gframe,
     random_parseval_gframe,
-    random_parseval_gframes,
     random_unitary,
     unwrap,
 )
@@ -152,6 +151,8 @@ class TestEmbedVectorFrame:
             embed_vector_frame([])
         with pytest.raises(ValueError):
             embed_vector_frame([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match=r"vector 0 has shape \(2, 2\)"):
+            embed_vector_frame([np.eye(2)])
 
 
 class TestRandomUnitary:
@@ -233,6 +234,12 @@ class TestInBatches:
             got = list(outcomes)
         built, calls = calls, []
         assert [described(o) for o in got] == [described(alone(item)) for item in items]
+        for outcome in got:  # unwrap gives a value back and raises an exception
+            if isinstance(outcome, Exception):
+                with pytest.raises(type(outcome)):
+                    unwrap(outcome)
+            else:
+                assert unwrap(outcome) == outcome
         # Batches of at most the budget cover the items in order; a batch whose
         # build raised is followed by its items built one at a time.
         size = max(1, budget // item_bytes)
@@ -247,18 +254,16 @@ class TestInBatches:
 
 
 class TestRandomParsevalBatches:
-    """Companions built in stacked batches equal the one-seed-at-a-time construction bit for bit."""
+    """Companions built as one stack equal the one-seed-at-a-time construction bit for bit."""
 
     @settings(deadline=None, max_examples=40)
     @given(
         n=st.integers(min_value=1, max_value=6),
         extra=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=8),
-        per_batch=st.integers(min_value=1, max_value=4),
         seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=11),
     )
-    def test_batches_equal_per_seed_reference(self, n, extra, per_batch, seeds):
+    def test_batches_equal_per_seed_reference(self, n, extra, seeds):
         counts = (n, *extra)
-        budget = per_batch * batch_item_bytes(sum(counts), n, companion=True)
         sizes = []
         real_eig = model.hermitian_eig
 
@@ -266,20 +271,24 @@ class TestRandomParsevalBatches:
             sizes.append(m.shape[0])
             return real_eig(m, **kwargs)
 
-        with mock.patch.object(generators, "BATCH_BYTES", budget), \
-                mock.patch.object(model, "hermitian_eig", counting_eig):
-            got = list(random_parseval_gframes(n, counts, seeds))
-        # Each batch held at most the budget's items, and the seeds crossed it when there were enough.
-        assert sum(sizes) == len(seeds) and max(sizes) <= per_batch
-        assert len(sizes) == -(-len(seeds) // per_batch)
-        for seed, companion in zip(seeds, got):
+        with mock.patch.object(model, "hermitian_eig", counting_eig):
+            companions, outcomes = parseval_companions(n, counts, seeds)
+        # Every seed's S is decomposed in one stacked call.
+        assert sizes == [len(seeds)]
+        assert outcomes == [None] * len(seeds)
+        assert len(companions.families) == len(seeds)
+        for seed, family in zip(seeds, companions.families):
+            reference = reference_companion(n, counts, seed)
+            assert same_bits(family, reference)
+            companion = random_parseval_gframe(n, counts, seed)
             assert isinstance(companion, GFrame)
             assert companion.counts == counts
-            assert same_bits(companion.stacked, reference_companion(n, counts, seed))
+            assert same_bits(companion.stacked, reference)
 
     def test_one_seed_case(self):
-        (companion,) = random_parseval_gframes(3, (2, 2), [7])
-        assert same_bits(companion.stacked, random_parseval_gframe(3, (2, 2), seed=7).stacked)
+        companions, outcomes = parseval_companions(3, (2, 2), [7])
+        assert outcomes == [None]
+        assert same_bits(companions.families[0], random_parseval_gframe(3, (2, 2), seed=7).stacked)
 
     def test_rank_failure_redraws_only_that_seed_on_substream_1(self, monkeypatch):
         seeds, bad = [11, 12, 13, 14], 13
@@ -301,11 +310,16 @@ class TestRandomParsevalBatches:
 
         monkeypatch.setattr(generators, "stream", recording_stream)
         monkeypatch.setattr(generators, "complex_gaussian_stack", deficient_stack)
-        got = list(random_parseval_gframes(3, (2, 2), seeds))
+        companions, outcomes = parseval_companions(3, (2, 2), seeds)
         assert calls == [(s, 0) for s in seeds] + [(bad, 1)]
-        for seed, companion in zip(seeds, got):
+        assert outcomes == [None] * len(seeds)
+        for seed, family in zip(seeds, companions.families):
             first = 1 if seed == bad else 0
-            assert same_bits(companion.stacked, reference_companion(3, (2, 2), seed, first))
+            assert same_bits(family, reference_companion(3, (2, 2), seed, first))
+        calls.clear()
+        alone = random_parseval_gframe(3, (2, 2), seed=bad)
+        assert calls == [(bad, 0), (bad, 1)]
+        assert same_bits(alone.stacked, reference_companion(3, (2, 2), bad, 1))
 
     def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
         seeds, bad = [21, 22, 23], 22
@@ -326,9 +340,12 @@ class TestRandomParsevalBatches:
 
         monkeypatch.setattr(generators, "stream", recording_stream)
         monkeypatch.setattr(generators, "complex_gaussian_stack", poisoned_stack)
-        got = list(random_parseval_gframes(3, (2, 2), seeds))
-        assert isinstance(got[1], GFrameError)
-        with pytest.raises(type(got[1])):
-            unwrap(got[1])
-        for j in (0, 2):
-            assert same_bits(got[j].stacked, reference_companion(3, (2, 2), seeds[j]))
+        with pytest.raises(GFrameError) as stacked:
+            parseval_companions(3, (2, 2), seeds)
+        with pytest.raises(type(stacked.value)) as alone:
+            random_parseval_gframe(3, (2, 2), seed=bad)
+        assert str(alone.value) == str(stacked.value)
+        for seed in seeds:
+            if seed != bad:
+                assert same_bits(random_parseval_gframe(3, (2, 2), seed=seed).stacked,
+                                 reference_companion(3, (2, 2), seed))

@@ -331,6 +331,12 @@ class TestStackedHermitianEig:
             alone = hermitian_eig(m[j])
             assert np.array_equal(bits(stacked.eigenvalues[j]), bits(alone.eigenvalues))
             assert np.array_equal(bits(stacked.eigenvectors[j]), bits(alone.eigenvectors))
+            # Independent of the library's gather: LAPACK's pairs of the symmetrized
+            # matrix, stably sorted non-increasing by plain indexing.
+            w, v = np.linalg.eigh(0.5 * m[j] + 0.5 * m[j].conj().T)
+            order = np.argsort(-w, kind="stable")
+            assert np.array_equal(bits(alone.eigenvalues), bits(w[order]))
+            assert np.array_equal(bits(alone.eigenvectors), bits(v[:, order]))
 
     def test_two_level_stack(self, rng):
         m = stack_of(rng, "gram", 6, 3).reshape(2, 3, 3, 3)

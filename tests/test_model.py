@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gframes import linalg, model
-from gframes.duals import random_alternate_dual
+from gframes.duals import extremal_frame, random_alternate_dual
 from gframes.errors import FrameOverflowError, NotAFrameError, PostconditionError
 from gframes.identities import (
     frobenius_dual_decomposition,
@@ -27,6 +27,8 @@ from gframes.model import (
     dual_residual,
     frame_matrices,
     frame_operator,
+    parseval_defect,
+    parseval_defects,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,
@@ -245,6 +247,23 @@ class TestCanonicalParseval:
         f = GFrame([np.array([[1.0, 0.0]])])
         with pytest.raises(NotAFrameError):
             canonical_parseval(f)
+
+
+class TestParsevalDefect:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25, 0.9])
+    def test_extremal_frame_is_epsilon_root_n(self, n, epsilon):
+        # S = (1 - epsilon) I, so S - I = -epsilon I; forming each diagonal entry
+        # of S and subtracting 1 rounds by a few units of 1.
+        want = epsilon * math.sqrt(n)
+        assert parseval_defect(extremal_frame(n, epsilon)) == pytest.approx(
+            want, rel=1e-14, abs=4 * np.finfo(float).eps * math.sqrt(n))
+
+    def test_equals_its_entry_of_the_stacked_form(self):
+        frames = [random_gframe(4, (2, 3), seed=s) for s in range(3)] + [extremal_frame(4, 0.5)]
+        stacked = parseval_defects(np.stack([frame_operator(f).matrix for f in frames]))
+        assert stacked.shape == (len(frames),)
+        assert [parseval_defect(f) for f in frames] == stacked.tolist()
 
 
 class TestCanonicalDual:

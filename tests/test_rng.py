@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gframes.rng import complex_gaussian_blocks, standard_normals, stream
+from gframes.rng import complex_gaussian_stack, standard_normals, stream
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -42,7 +42,7 @@ def test_batched_blocks_equal_per_block_draws(n, counts, seed):
         blocks.append((re + 1j * im).reshape(k, n))
     reference = np.vstack(blocks)
     drawn = stream(seed)
-    batched = complex_gaussian_blocks(drawn, counts, n)
+    batched = complex_gaussian_stack([drawn], counts, n)[0]
     assert batched.shape == reference.shape
     assert np.array_equal(batched.view(np.uint64), reference.view(np.uint64))
     assert drawn.random() == gen.random()

@@ -7,13 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gframes import rng
-from gframes.rng import (
-    complex_gaussian_blocks,
-    complex_gaussian_stack,
-    standard_normal_batches,
-    standard_normals,
-    stream,
-)
+from gframes.rng import complex_gaussian_stack, standard_normal_batches, standard_normals, stream
 
 
 @settings(deadline=None, max_examples=60)
@@ -33,7 +27,7 @@ def test_batches_equal_consecutive_draws(batches, count, seed):
 
 
 def reference_blocks(seed, counts, cols):
-    """complex_gaussian_blocks by the stream definition alone: one uniform call per batch, per-element Box-Muller."""
+    """One generator's row of complex_gaussian_stack by the stream definition alone: one uniform call per batch, per-element Box-Muller."""
     gen = stream(seed)
     blocks = []
     for k in counts:
@@ -89,11 +83,11 @@ def test_layout_is_built_once_per_shape():
     rng._memo_layout.cache_clear()
     with mock.patch.object(rng, "_box_muller_layout", counting):
         for seed in range(3):
-            complex_gaussian_blocks(stream(seed), (2, 3, 1), 4)
+            complex_gaussian_stack([stream(seed)], (2, 3, 1), 4)
             complex_gaussian_stack([stream(seed), stream(seed + 3)], (2, 3, 1), 4)  # same shape, two rows
             standard_normals(stream(seed), 8)
             standard_normals(stream(seed), rng.MEMO_VARIATES + 1)  # too large to keep
-            complex_gaussian_blocks(stream(seed), (1,) * 256, 32)  # 16384 complex variates: too large to keep
+            complex_gaussian_stack([stream(seed)], (1,) * 256, 32)  # 16384 complex variates: too large to keep
     info = rng._memo_layout.cache_info()
     # Two small shapes, each built once and read from the memo 7 more times in all.
     assert (info.misses, info.hits, info.currsize) == (2, 7, 2)
