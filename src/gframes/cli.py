@@ -70,7 +70,7 @@ def cmd_gen(args) -> int:
     if kind == "extremal":
         frame = extremal_frame(args.n, epsilon)
     else:
-        counts = _parse_counts(args.counts) if args.counts else (1,) * (2 * args.n)
+        counts = _parse_counts(args.counts) if args.counts is not None else (1,) * (2 * args.n)
         if kind == "random":
             frame = random_gframe(args.n, counts, args.seed)
         elif kind == "parseval":

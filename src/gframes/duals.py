@@ -6,7 +6,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import EpsilonOutOfRangeError, FrameOverflowError, GFrameError, PostconditionError
+from .errors import EpsilonOutOfRangeError, FrameOverflowError, PostconditionError
 from .identities import canonical_dual_gap, parseval_gap
 from .model import (  # verify_alternate_dual is re-exported here
     DualCertificate,
@@ -44,35 +44,24 @@ def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndar
     return deltas
 
 
-def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[DualStack | None, list]:
-    """The seeds' duals that pass the dual equation, as one DualStack, with one outcome per seed.
+def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[DualStack, list[DualCertificate]]:
+    """The seeds' duals as one DualStack, with each dual's certificate, in seed order.
 
-    An outcome is the dual's DualCertificate, or the exception that stopped
-    it. The stack holds the duals whose outcome is a certificate, in seed
-    order (None when no dual passed). A step of the whole stack that fails
-    raises; generators.in_batches then redoes it seed by seed.
+    For the first seed whose dual fails, raises FrameOverflowError when the
+    dual is not finite, else NotADualError; a failed step of the whole stack
+    raises too. In the suites, generators.in_batches then redoes the call
+    seed by seed.
     """
     duals = _perturbed_duals(lam, magnitude, seeds)
-    outcomes = []
-    for finite, cert in zip(np.isfinite(duals).all(axis=(1, 2)).tolist(), dual_certificates(lam, duals)):
-        try:
-            if not finite:
-                raise FrameOverflowError(
-                    f"dual perturbation at magnitude {magnitude!r} overflows double precision"
-                )
-            cert.require()
-        except GFrameError as exc:  # the error belongs to this seed alone
-            outcomes.append(exc)
-        else:
-            outcomes.append(cert)
-    kept = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, DualCertificate)]
-    if not kept:
-        return None, outcomes
-    # A stack whose duals all hold is kept whole: copying it cost ~4 % of
-    # ops_per_s on the verify-vectors-n4 benchmark workload.
-    duals = duals if len(kept) == len(duals) else duals[kept]
+    certificates = dual_certificates(lam, duals)
+    for finite, cert in zip(np.isfinite(duals).all(axis=(1, 2)).tolist(), certificates):
+        if not finite:
+            raise FrameOverflowError(
+                f"dual perturbation at magnitude {magnitude!r} overflows double precision"
+            )
+        cert.require()
     duals.setflags(write=False)
-    return DualStack(lam, duals), outcomes
+    return DualStack(lam, duals), certificates
 
 
 def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
@@ -89,10 +78,8 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     magnitude breaks the equation. The dual keeps its certificate, which
     verify_alternate_dual(lam, dual) gives back.
     """
-    duals, (outcome,) = certified_duals(lam, magnitude, [seed])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return certify_dual(lam, GFrame.from_stacked(duals.families[0], like=lam), outcome)
+    stack, (cert,) = certified_duals(lam, magnitude, [seed])
+    return certify_dual(lam, GFrame.from_stacked(stack.families[0], like=lam), cert)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

@@ -60,11 +60,12 @@ def in_batches(build, items, item_bytes: int):
     """Yield build's outcome for each item, in order, building batches of at most BATCH_BYTES.
 
     build(batch) returns one outcome per item of the batch: a value, or the
-    exception that stopped that item (read either with `unwrap`). item_bytes
-    is the working set one item adds to a build (batch_item_bytes), and a
-    batch holds max(1, BATCH_BYTES // item_bytes) items. When a whole build
-    raises, its items are built again one at a time, so each exception stays
-    with its own item.
+    exception that stopped that item (read either with `unwrap`); the suites'
+    builds return values and raise when any item fails. item_bytes is the
+    working set one item adds to a build (batch_item_bytes), and a batch
+    holds max(1, BATCH_BYTES // item_bytes) items. When a whole build raises,
+    its items are built again one at a time, so each exception stays with its
+    own item.
     """
     items = list(items)
     size = max(1, BATCH_BYTES // item_bytes)
@@ -82,44 +83,35 @@ def in_batches(build, items, item_bytes: int):
 def _random_frames(n: int, counts: tuple[int, ...], seeds: list[int]) -> tuple:
     """Gaussian frames for several seeds, drawn and decomposed as stacks.
 
-    Returns (t, fo, outcomes). outcomes[i] is the live stream that drew seed
-    i's frame, kept for follow-up draws, or the GFrameError of a seed that
-    never drew one. t is the (B, K, n) stack of the drawn frames in seed
-    order, and fo its FrameOperator; both are None when no seed drew a frame.
-    A seed whose draw fails the rank gate is drawn again on its next
-    substream, alone with the other failed seeds; the seeds that passed keep
-    their frames, and S and its eigendecomposition are then built again for
-    the frames that stay.
+    Returns (t, fo, gens): t is the (B, K, n) stack of the seeds' frames in
+    seed order, fo its FrameOperator, and gens[i] the live stream that drew
+    seed i's frame, kept for follow-up draws. A seed whose draw fails the
+    rank gate is drawn again on its next substream, alone with the other
+    failed seeds, and S and its eigendecomposition are then built again for
+    the whole stack. Raises GFrameError when a seed draws no frame in
+    RETRY_CAP attempts.
     """
     gens = [stream(seed) for seed in seeds]
     t = complex_gaussian_stack(gens, counts, n)
     fo = FrameOperator(frame_matrices(t))
-    passed = fo.is_frame
     for retry in range(1, RETRY_CAP):
-        failed = np.flatnonzero(~passed)
+        failed = np.flatnonzero(~fo.is_frame)
         if not failed.size:
             break
         for i in failed:
             gens[i] = stream(seeds[i], substream=retry)
         t[failed] = complex_gaussian_stack([gens[i] for i in failed], counts, n)
-        passed[failed] = FrameOperator(frame_matrices(t[failed])).is_frame
-        fo = None
-    outcomes = [gen if ok else GFrameError(
-        f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}")
-        for gen, ok in zip(gens, passed.tolist())]
-    if not passed.any():
-        return None, None, outcomes
-    if fo is None or not passed.all():
-        t = t[passed]
         fo = FrameOperator(frame_matrices(t))
-    return t, fo, outcomes
+    if not fo.is_frame.all():
+        raise GFrameError(
+            f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}")
+    return t, fo, gens
 
 
 def _random_gframe(n: int, counts, seed: int) -> tuple[GFrame, np.random.Generator]:
     """Gaussian frame plus the live stream that produced it (for follow-up draws)."""
     counts = _check_params(n, counts)
-    t, fo, (outcome,) = _random_frames(n, counts, [seed])
-    gen = unwrap(outcome)
+    t, fo, (gen,) = _random_frames(n, counts, [seed])
     return GFrame.from_stacked(t[0], counts, frame_op=fo[0]), gen
 
 
@@ -132,32 +124,24 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
     return _random_gframe(n, counts, seed)[0]
 
 
-def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> tuple[ParsevalStack | None, list]:
-    """Canonical Parseval transforms of the seeds' random Gaussian frames, as one stack.
+def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> ParsevalStack:
+    """Canonical Parseval transforms of the seeds' random Gaussian frames, in seed order, as one ParsevalStack.
 
     n and counts are taken as checked: counts is a tuple of positive ints
     adding up to at least n, as random_parseval_gframe checks and as a
-    frame's own shape is. Returns (companions, outcomes).
-    outcomes[i] is None when seed i drew a frame, and otherwise the
-    GFrameError of a seed that never drew one. companions is the
-    model.ParsevalStack of the transforms of the seeds that drew a frame, in
-    seed order (None when no seed did). The frames are drawn and decomposed
-    as stacks, and their transforms come from one
-    model.canonical_parseval_stack call; when that raises, the whole call
-    raises, and in_batches redoes it seed by seed.
+    frame's own shape is. The frames are drawn and decomposed as stacks, and
+    their transforms come from one model.canonical_parseval_stack call.
+    Raises the GFrameError of a seed that never drew a frame, or what that
+    call raises; in the suites, in_batches then redoes the call seed by seed.
     """
-    t, fo, outcomes = _random_frames(n, counts, seeds)
-    return (None if t is None else canonical_parseval_stack(t, fo)), [
-        outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
+    t, fo, _ = _random_frames(n, counts, seeds)
+    return canonical_parseval_stack(t, fo)
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:
     """Canonical Parseval transform of a random Gaussian frame: the one-seed case of parseval_companions."""
     counts = _check_params(n, counts)
-    companions, (outcome,) = parseval_companions(n, counts, [seed])
-    if outcome is not None:
-        raise outcome
-    return GFrame.from_stacked(companions.families[0], counts)
+    return GFrame.from_stacked(parseval_companions(n, counts, [seed]).families[0], counts)
 
 
 def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:

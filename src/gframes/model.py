@@ -390,6 +390,9 @@ def dual_residuals(lam: GFrame, duals: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         gap = lam.stacked.conj().T @ duals - np.eye(lam.dim_h)
         norms = np.sqrt(frobenius_norms_sq(gap))
+        if np.isinf(norms).any():  # the squares of a finite gap above ~1e154 overflow; its hypots do not
+            hypots = np.hypot.reduce(np.abs(gap).reshape(*gap.shape[:-2], -1), axis=-1)
+            norms = np.where(np.isinf(norms), hypots, norms)
     # An overflowing product holds inf, and nan where inf meets 0.
     return np.where(np.isfinite(gap).all(axis=(-2, -1)), norms, np.inf)
 
@@ -430,9 +433,9 @@ def dual_certificates(lam: GFrame, duals: np.ndarray) -> list[DualCertificate]:
 class DualStack(NamedTuple):
     """Alternate duals of `frame` as duals.certified_duals returns them: a read-only (B, K, n) stack.
 
-    Only certified_duals makes one, of the duals whose certificate passed;
-    identities.require_alternate_dual reads that check instead of running it
-    again.
+    Only certified_duals makes one, once every dual's certificate has
+    passed; identities.require_alternate_dual reads that check instead of
+    running it again.
     """
 
     frame: GFrame

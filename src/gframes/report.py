@@ -44,7 +44,6 @@ from .identities import (
 )
 from .linalg import frobenius_norm_sq, trace
 from .model import (
-    DualCertificate,
     GFrame,
     canonical_dual,
     canonical_parseval,
@@ -120,15 +119,8 @@ def _companion_terms(f: GFrame, seeds: list[int], terms):
     of generators.in_batches, with one call of each per batch, as the
     iteration reaches them.
     """
-
-    def build(batch: list[int]) -> list:
-        companions, outcomes = parseval_companions(f.dim_h, f.counts, batch)
-        if companions is not None:
-            values = iter(terms(companions))
-            outcomes = [next(values) if outcome is None else outcome for outcome in outcomes]
-        return outcomes
-
-    return in_batches(build, seeds, batch_item_bytes(*f.stacked.shape, companion=True))
+    return in_batches(lambda batch: terms(parseval_companions(f.dim_h, f.counts, batch)),
+                      seeds, batch_item_bytes(*f.stacked.shape, companion=True))
 
 
 def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
@@ -266,17 +258,13 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     _guard(checks, "frobenius-dual-closed-form", closed_form_row)
 
     def build(batch: list) -> list:
-        """Per trial: its certificate and Frobenius and pointwise terms, or the exception that stopped it."""
-        stack, outcomes = certified_duals(f, 1.0, [child for child, _ in batch])
-        if stack is not None:  # one stacked call per identity, on the certified duals only
-            kept = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, DualCertificate)]
-            probes = np.array([batch[b][1] for b in kept]).T
-            total, canonical_term, residual = frobenius_dual_decomposition(f, stack)
-            ptotal, pcanon, pres = pointwise_dual_decomposition(f, stack, probes)
-            for b, t, r, pt, pc, pr in zip(kept, total.tolist(), residual.tolist(),
-                                           ptotal.tolist(), pcanon.tolist(), pres.tolist()):
-                outcomes[b] = (outcomes[b], (t, canonical_term, r), (pt, pc, pr))
-        return outcomes
+        """Per trial: its certificate and Frobenius and pointwise terms, from one stacked call per identity."""
+        stack, certificates = certified_duals(f, 1.0, [child for child, _ in batch])
+        probes = np.array([vector for _, vector in batch]).T
+        total, canonical_term, residual = frobenius_dual_decomposition(f, stack)
+        ptotal, pcanon, pres = pointwise_dual_decomposition(f, stack, probes)
+        return [(cert, (t, canonical_term, r), (pt, pc, pr)) for cert, t, r, pt, pc, pr in zip(
+            certificates, total.tolist(), residual.tolist(), ptotal.tolist(), pcanon.tolist(), pres.tolist())]
 
     # Every trial's (seed, probe) pair is drawn before any dual, so trial j's draws depend on (seed, j) alone.
     drawn = [(_child_seed(master), probe()) for _ in range(trials)]

@@ -371,6 +371,11 @@ class TestGenArguments:
         assert (code, out) == (2, "")
         assert err == "error: counts must be comma-separated integers, got '1,x'\n"
 
+    def test_empty_counts_are_rejected(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--n", "3", "--counts", "")
+        assert (code, out) == (2, "")
+        assert err == "error: counts must be comma-separated integers, got ''\n"
+
     def test_nearly_parseval_needs_epsilon(self, capsys):
         code, _, err = run(capsys, "gen", "nearly-parseval", "--n", "2")
         assert code == 2

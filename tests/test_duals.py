@@ -26,7 +26,7 @@ from gframes.duals import (
 from gframes.identities import canonical_dual_gap, parseval_gap, pointwise_dual_decomposition
 from gframes.linalg import frobenius_norm, matrix_power
 from gframes.model import DualCertificate, GFrame, canonical_dual, canonical_parseval, frame_operator, validate_frame
-from gframes.generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
+from gframes.generators import in_batches, nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from gframes.rng import complex_gaussian_matrix, stream
 
 
@@ -122,8 +122,10 @@ class TestRandomAlternateDual:
     def test_output_that_misses_the_dual_equation_raises(self):
         # T is square, so the projection cancels the 1e308 blocks down to round-off near
         # 1e291: finite entries, far from a dual.
-        with pytest.raises(NotADualError, match="not an alternate dual"):
+        with pytest.raises(NotADualError, match="not an alternate dual") as raised:
             random_alternate_dual(extremal_frame(4, 0.25), magnitude=1e308, seed=0)
+        # The squares of the gap's entries overflow; its norm does not.
+        assert np.isfinite(raised.value.residual) and raised.value.residual > 1e290
 
 
 class TestParsevalProximityBound:
@@ -328,15 +330,19 @@ class TestRandomAlternateDualBatches:
     def test_each_seed_keeps_its_own_check_failure(self):
         # At magnitude 1e10 the round-off of each seed's projection misses the dual equation.
         lam, seeds = extremal_frame(4, 0.25), [0, 1, 2]
-        stack, got = certified_duals(lam, 1e10, seeds)
-        assert stack is None
-        assert all(isinstance(outcome, NotADualError) for outcome in got)
-        assert len({outcome.residual for outcome in got}) == len(seeds)
-        for seed, outcome in zip(seeds, got):
-            with pytest.raises(NotADualError) as alone:
+        alone = []
+        for seed in seeds:
+            with pytest.raises(NotADualError) as raised:
                 random_alternate_dual(lam, magnitude=1e10, seed=seed)
-            assert str(alone.value) == str(outcome)
-            assert alone.value.residual == outcome.residual
+            alone.append(raised.value)
+        assert len({exc.residual for exc in alone}) == len(seeds)
+        # The stack raises its first seed's error; in_batches gives each seed its own.
+        with pytest.raises(NotADualError) as stacked:
+            certified_duals(lam, 1e10, seeds)
+        assert (str(stacked.value), stacked.value.residual) == (str(alone[0]), alone[0].residual)
+        got = list(in_batches(lambda batch: certified_duals(lam, 1e10, batch)[1], seeds, 1))  # one batch of 3
+        assert all(isinstance(outcome, NotADualError) for outcome in got)
+        assert [(str(o), o.residual) for o in got] == [(str(exc), exc.residual) for exc in alone]
 
     def test_setup_failure_raises_for_every_seed(self, monkeypatch):
         def fail(f):

@@ -272,10 +272,9 @@ class TestRandomParsevalBatches:
             return real_eig(m, **kwargs)
 
         with mock.patch.object(model, "hermitian_eig", counting_eig):
-            companions, outcomes = parseval_companions(n, counts, seeds)
+            companions = parseval_companions(n, counts, seeds)
         # Every seed's S is decomposed in one stacked call.
         assert sizes == [len(seeds)]
-        assert outcomes == [None] * len(seeds)
         assert len(companions.families) == len(seeds)
         for seed, family in zip(seeds, companions.families):
             reference = reference_companion(n, counts, seed)
@@ -286,8 +285,7 @@ class TestRandomParsevalBatches:
             assert same_bits(companion.stacked, reference)
 
     def test_one_seed_case(self):
-        companions, outcomes = parseval_companions(3, (2, 2), [7])
-        assert outcomes == [None]
+        companions = parseval_companions(3, (2, 2), [7])
         assert same_bits(companions.families[0], random_parseval_gframe(3, (2, 2), seed=7).stacked)
 
     def test_rank_failure_redraws_only_that_seed_on_substream_1(self, monkeypatch):
@@ -310,9 +308,8 @@ class TestRandomParsevalBatches:
 
         monkeypatch.setattr(generators, "stream", recording_stream)
         monkeypatch.setattr(generators, "complex_gaussian_stack", deficient_stack)
-        companions, outcomes = parseval_companions(3, (2, 2), seeds)
+        companions = parseval_companions(3, (2, 2), seeds)
         assert calls == [(s, 0) for s in seeds] + [(bad, 1)]
-        assert outcomes == [None] * len(seeds)
         for seed, family in zip(seeds, companions.families):
             first = 1 if seed == bad else 0
             assert same_bits(family, reference_companion(3, (2, 2), seed, first))

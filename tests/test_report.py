@@ -1,6 +1,5 @@
 """Verification suites and report rendering."""
 
-import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -293,13 +292,22 @@ class TestCompanionBatches:
 
 
 class TestBatchBudget:
-    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors", "nearly-parseval-5e7"])
     def test_report_ignores_the_batch_budget(self, monkeypatch, name):
+        # Scaled by 5e7, the golden nearly-Parseval frame makes a batch in which
+        # some duals fail and the others pass, with no injected fault. With
+        # numpy 2.4 on OpenBLAS 0.3.31 (x86_64) only trial 3's dual fails
+        # (residual 8.30e-8 against 8e-8) and the others sit at 0.77-0.89 of the
+        # tolerance, so which trials fail depends on the BLAS build and is not
+        # asserted.
         def report_json(items=None):
             with monkeypatch.context() as patched:
                 if items:
                     batches_of(patched, items)
-                f = load_frame(GOLDEN / f"{name}.frame.json")
+                if name == "nearly-parseval-5e7":
+                    f = scaled_golden_frame(5e7)
+                else:
+                    f = load_frame(GOLDEN / f"{name}.frame.json")
                 return render_report_json(run_suite(f, "all", trials=6, seed=11))
 
         default = report_json()
@@ -323,14 +331,23 @@ class TestDualBatches:
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         if per_batch:
             batches_of(monkeypatch, per_batch)
+        real_stream, real_stack = duals.stream, duals.complex_gaussian_stack
+        trial_seeds, origin = [], {}
+
+        def recording_stream(seed, substream=0):
+            gen = real_stream(seed, substream)
+            trial_seeds.append(seed)
+            origin[id(gen)] = seed
+            return gen
+
+        monkeypatch.setattr(duals, "stream", recording_stream)
         good = run_suite(f, "all", trials=4, seed=7)
-        real = duals.complex_gaussian_stack
-        drawn = itertools.count()
+        bad_seed = trial_seeds[2]  # the seed of the third dual, built for dual-trial[trial=2]
 
         def flaky(gens, counts, cols):
-            t = real(gens, counts, cols)
-            for b in range(len(gens)):
-                if next(drawn) == 2:  # the third dual, built for dual-trial[trial=2]
+            t = real_stack(gens, counts, cols)
+            for b, gen in enumerate(gens):
+                if origin[id(gen)] == bad_seed:  # by seed, so a rebuilt batch is poisoned alike
                     t[b, 0, 0] = np.nan
             return t
 
@@ -373,9 +390,10 @@ class TestDualBatches:
             c for c in good.checks if not c.name.endswith("[trial=2]") or "dual" not in c.name]
 
     def test_failed_duals_make_no_redo_calls(self, monkeypatch):
-        # Every dual-trial row of this frame errors today (an absolute
-        # perturbation against a dual of size 1e-8), so the only calls left are
-        # the canonical rows', one per identity.
+        # Every dual of this frame fails its check (an absolute perturbation
+        # against a dual of size 1e-8). certified_duals raises, in_batches
+        # redoes the builder seed by seed, and the identities are not called
+        # for a trial: the only calls left are the canonical rows', one per identity.
         f = scaled_golden_frame(1e8)
         want = run_suite(f, "duals", trials=10, seed=7)
         calls = {"frobenius": 0, "pointwise": 0}
@@ -466,15 +484,25 @@ class TestChecksOncePerFamily:
     def test_injected_failures_get_the_builders_errors(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         batches_of(monkeypatch, 2)
-        good = run_suite(f, "all", trials=4, seed=7)
         real_companions, real_duals = generators.canonical_parseval_stack, duals._perturbed_duals
+        trial_seeds = []
+
+        def recording_duals(lam, magnitude, seeds):
+            trial_seeds.extend(seeds)
+            return real_duals(lam, magnitude, seeds)
+
+        monkeypatch.setattr(duals, "_perturbed_duals", recording_duals)
+        good = run_suite(f, "all", trials=4, seed=7)
+        poisoned = {trial_seeds[1], trial_seeds[3]}  # the last dual of each batch of 2
 
         def not_parseval(t, fo):
             return real_companions(2.0 * t, fo)  # each transform has S' = 4 I
 
         def not_dual(lam, magnitude, seeds):
             stack = real_duals(lam, magnitude, seeds)
-            stack[-1] *= 2.0  # the last dual of each batch: the dual equation gives 2 I
+            for b, seed in enumerate(seeds):
+                if seed in poisoned:  # by seed, so a rebuilt batch is poisoned alike
+                    stack[b] *= 2.0  # the dual equation gives 2 I
             return stack
 
         monkeypatch.setattr(generators, "canonical_parseval_stack", not_parseval)
