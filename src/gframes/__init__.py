@@ -16,11 +16,9 @@ from .errors import (
 from .linalg import (
     RANK_TOLERANCE,
     HermitianEigen,
-    adjoint,
     frobenius_norm,
     frobenius_norm_sq,
     hermitian_eig,
-    matmul,
     matrix_power,
     matrix_power_eig,
     trace,

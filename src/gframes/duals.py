@@ -79,7 +79,7 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     verify_alternate_dual(lam, dual) gives back.
     """
     stack, (cert,) = certified_duals(lam, magnitude, [seed])
-    return certify_dual(lam, GFrame.from_stacked(stack.families[0], like=lam), cert)
+    return certify_dual(lam, GFrame.from_stacked(stack.families[0], lam.counts), cert)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

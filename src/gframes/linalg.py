@@ -44,20 +44,6 @@ def as_vector(value, length: int | None = None, name: str = "vector") -> np.ndar
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
 def frobenius_norm_sq(m) -> float:
     """Sum of squared moduli of all entries."""
     return float(frobenius_norms_sq(as_matrix(m)))

@@ -38,9 +38,10 @@ class GFrame:
 
     The operators live, in order, as the row blocks of one read-only K x n
     array, the analysis operator T (`stacked`); `operators` are read-only
-    views of those blocks. S and both canonical families are memoized, and
-    so is the DualCertificate of a frame that a builder certified as an
-    alternate dual (verify_alternate_dual).
+    views of those blocks. S and both canonical families (or the error of a
+    family's failed postcondition) are memoized, and so is the
+    DualCertificate of a frame that a builder certified as an alternate
+    dual (verify_alternate_dual).
     """
 
     __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual", "_certificate")
@@ -68,39 +69,26 @@ class GFrame:
         self._setup(np.concatenate(blocks), [arr.shape[0] for arr in blocks])
 
     @classmethod
-    def from_stacked(cls, stacked, counts=None, *, like: GFrame | None = None,
-                     frame_op: FrameOperator | None = None) -> GFrame:
+    def from_stacked(cls, stacked, counts, *, frame_op: FrameOperator | None = None) -> GFrame:
         """Frame whose analysis operator is a copy of `stacked`, cut into blocks of counts[i] rows.
 
-        With `like` in place of `counts`, the blocks are those of the frame
-        `like`, whose counts and offsets were validated when it was built.
         `frame_op`, when given, is the frame's FrameOperator, already built.
         """
         t = np.array(stacked, dtype=np.complex128)
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValueError(f"stacked operators must form a matrix with columns, got shape {t.shape}")
-        if (counts is None) == (like is None):
-            raise ValueError("give counts or like, not both" if like is not None else "give counts or like")
         f = cls.__new__(cls)
-        if like is None:
-            f._setup(t, counts)
-        else:
-            f._setup(t, like._counts, like._offsets)
+        f._setup(t, counts)
         f._frame_op = frame_op
         return f
 
-    def _setup(self, t: np.ndarray, counts, offsets: tuple[int, ...] | None = None) -> None:
-        if offsets is None:
-            counts = tuple(int(k) for k in counts)
-            if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
-                raise ValueError(
-                    f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
-                )
-            offsets = (0, *np.cumsum(counts).tolist())
-        elif offsets[-1] != t.shape[0]:
+    def _setup(self, t: np.ndarray, counts) -> None:
+        counts = tuple(int(k) for k in counts)
+        if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
             raise ValueError(
                 f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
             )
+        offsets = (0, *np.cumsum(counts).tolist())
         bad_rows = np.flatnonzero(~np.isfinite(t).all(axis=1))
         if bad_rows.size:
             idx = int(np.searchsorted(offsets, bad_rows[0], side="right")) - 1
@@ -328,35 +316,42 @@ def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
     return ParsevalStack(p, s)
 
 
+def _memoized(outcome):
+    """A canonical family memoized on its frame, or the error of its failed postcondition raised anew."""
+    if isinstance(outcome, PostconditionError):
+        raise PostconditionError(*outcome.args)
+    return outcome
+
+
 def canonical_parseval(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1/2); the result has frame operator I.
 
-    The one-frame case of canonical_parseval_stack, memoized per frame; S'
-    stays cached on the returned frame.
+    The one-frame case of canonical_parseval_stack, memoized per frame, and
+    so is its PostconditionError; S' stays cached on the returned frame.
     """
     if f._parseval is None:
-        p, s = canonical_parseval_stack(f.stacked, frame_operator(f))
-        f._parseval = GFrame.from_stacked(p, like=f, frame_op=FrameOperator(s))
-    return f._parseval
+        try:
+            p, s = canonical_parseval_stack(f.stacked, frame_operator(f))
+            f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
+        except PostconditionError as exc:
+            f._parseval = exc.with_traceback(None)  # its frames would hold f
+    return _memoized(f._parseval)
 
 
 def canonical_dual(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1); the canonical alternate dual.
 
     Raises PostconditionError when the result misses the dual equation by
-    more than DUAL_TOLERANCE * n. The dual keeps its certificate
-    (verify_alternate_dual).
+    more than DUAL_TOLERANCE * n. The dual, or that error, is memoized per
+    frame; the dual keeps its certificate (verify_alternate_dual).
     """
     if f._dual is None:
-        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), like=f)
+        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
         cert = verify_alternate_dual(f, d)
-        if not cert.passed:
-            raise PostconditionError(
-                f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
-                f"exceeds {DUAL_TOLERANCE:.0e} * n"
-            )
-        f._dual = certify_dual(f, d, cert)
-    return f._dual
+        f._dual = certify_dual(f, d, cert) if cert.passed else PostconditionError(
+            f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
+            f"exceeds {DUAL_TOLERANCE:.0e} * n")
+    return _memoized(f._dual)
 
 
 def reconstruct(f: GFrame, x) -> np.ndarray:

@@ -51,34 +51,19 @@ def _box_muller_layout(counts: tuple[int, ...], cols: int, pair: bool) -> tuple[
     every pair] (out). With `pair`, out interleaves each real batch with its
     imaginary one, so the variates view as complex128 in row order.
     """
-    group = 2 if pair else 1
-    if len(set(counts)) <= 1:  # equal batches: each gather is one broadcast sum
-        size = cols * counts[0] if counts else 0
-        width = (size + 1) // 2
-        batches = group * len(counts)
-        first = (2 * width * np.arange(batches)[:, np.newaxis] + np.arange(width)).ravel()
-        second = first + width
-        q = np.arange(size)
-        pick = np.where(q < width, q, width * batches + q - width)
-        # out[l, q, c] is variate q of batch group * l + c: each part is written with q innermost.
-        out = np.empty((len(counts), size, group), dtype=np.intp)
-        for part in range(group):
-            np.add.outer(width * np.arange(part, batches, group), pick, out=out[..., part])
-        out = out.ravel()
-    else:
-        sizes = np.repeat(np.asarray(counts, dtype=np.int64) * cols, group)
-        pairs = (sizes + 1) // 2
-        total = int(pairs.sum())
-        start = np.cumsum(pairs) - pairs
-        first = np.repeat(start, pairs) + np.arange(total)
-        second = first + np.repeat(pairs, pairs)
-        offset = np.repeat(start, sizes)
-        q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        width = np.repeat(pairs, sizes)
-        out = np.where(q < width, offset + q, total + offset + q - width)
-        if pair:
-            real = np.repeat(np.arange(sizes.size) % 2 == 0, sizes)
-            out = np.stack([out[real], out[~real]], axis=1).ravel()
+    sizes = np.repeat(np.asarray(counts, dtype=np.int64) * cols, 2 if pair else 1)
+    pairs = (sizes + 1) // 2
+    total = int(pairs.sum())
+    start = np.cumsum(pairs) - pairs
+    first = np.repeat(start, pairs) + np.arange(total)
+    second = first + np.repeat(pairs, pairs)
+    offset = np.repeat(start, sizes)
+    q = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = np.repeat(pairs, sizes)
+    out = np.where(q < width, offset + q, total + offset + q - width)
+    if pair:
+        real = np.repeat(np.arange(sizes.size) % 2 == 0, sizes)
+        out = np.stack([out[real], out[~real]], axis=1).ravel()
     for index in (first, second, out):
         index.setflags(write=False)
     return first, second, out

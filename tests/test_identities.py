@@ -415,7 +415,7 @@ class TestCanonicalDualGapAtSmallScale:
     @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
     def test_subnormal_spectrum_raises(self, name):
         g = load_frame(Path(__file__).parent / "data" / "golden" / f"{name}.frame.json")
-        f = GFrame.from_stacked(1e-155 * g.stacked, like=g)
+        f = GFrame.from_stacked(1e-155 * g.stacked, g.counts)
         assert frame_operator(f).eig.eigenvalues[-1] < np.finfo(np.float64).tiny
         with pytest.raises(FrameOverflowError, match="canonical dual gap overflows"):
             canonical_dual_gap(f)

@@ -1,4 +1,4 @@
-"""Numeric core: products, adjoints, norms, traces, eigensolver, fractional powers."""
+"""Numeric core: norms, traces, eigensolver, fractional powers."""
 
 import math
 import warnings
@@ -12,74 +12,15 @@ from gframes.errors import ConvergenceError, NotHermitianError, NotPositiveDefin
 from gframes.linalg import (
     HERMITIAN_INPUT_TOLERANCE,
     RANK_TOLERANCE,
-    adjoint,
     frobenius_norm,
     frobenius_norm_sq,
     hermitian_eig,
-    matmul,
     matrix_power,
     matrix_power_eig,
     trace,
 )
 
 from conftest import random_complex, random_hermitian, random_spd
-
-
-def naive_matmul(a, b):
-    """Triple-loop product oracle, independent of the library path."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        m = random_complex(rng, 2, 2)
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_involution(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(matmul(swap, swap), np.eye(2))
-
-    def test_matches_triple_loop(self, rng):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            matmul(random_complex(rng, 2, 3), random_complex(rng, 2, 3))
-
-
-class TestAdjoint:
-    def test_real_symmetric_fixed_point(self):
-        m = np.array([[1.0, 2.0], [2.0, 5.0]])
-        assert np.array_equal(adjoint(m), m)
-
-    def test_hand_conjugation(self):
-        m = np.array([[0.0, 1j], [0.0, 0.0]])
-        expected = np.array([[0.0, 0.0], [-1j, 0.0]])
-        assert np.array_equal(adjoint(m), expected)
-
-    def test_involution_exact(self, rng):
-        m = random_complex(rng, 3, 5)
-        assert np.array_equal(adjoint(adjoint(m)), m)
-
-    def test_inner_product_oracle(self, rng):
-        m = random_complex(rng, 4, 3)
-        for _ in range(20):
-            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            lhs = np.vdot(y, m @ x)  # <Mx, y> with numpy's conjugate-first convention
-            rhs = np.vdot(adjoint(m) @ y, x)
-            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 class TestFrobenius:
@@ -97,7 +38,7 @@ class TestFrobenius:
     def test_adjoint_invariance(self, rng):
         m = random_complex(rng, 5, 3)
         a = frobenius_norm_sq(m)
-        b = frobenius_norm_sq(adjoint(m))
+        b = frobenius_norm_sq(m.conj().T)
         assert math.isclose(a, b, rel_tol=1e-14)
 
 
@@ -111,15 +52,15 @@ class TestTrace:
     def test_cyclicity(self, rng):
         a = random_complex(rng, 3, 3)
         b = random_complex(rng, 3, 3)
-        lhs = trace(matmul(a, b))
-        rhs = trace(matmul(b, a))
+        lhs = trace(a @ b)
+        rhs = trace(b @ a)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
     def test_cyclicity_scaled_tolerance(self, rng):
         for _ in range(20):
             a = random_complex(rng, 6, 6)
             b = random_complex(rng, 6, 6)
-            gap = abs(trace(matmul(a, b)) - trace(matmul(b, a)))
+            gap = abs(trace(a @ b) - trace(b @ a))
             assert gap <= 1e-10 * (1 + frobenius_norm(a) * frobenius_norm(b))
 
     def test_rejects_non_square(self, rng):

@@ -73,13 +73,12 @@ class TestGFrame:
         assert f.dim_h == 3
         assert len(f) == 2
 
-    def test_from_stacked_needs_counts_or_like(self):
-        like = GFrame.from_stacked(np.eye(3), (1, 2))
-        with pytest.raises(ValueError, match="^give counts or like$"):
+    def test_from_stacked_needs_counts(self):
+        with pytest.raises(TypeError):
             GFrame.from_stacked(np.eye(3))
-        with pytest.raises(ValueError, match="^give counts or like, not both$"):
-            GFrame.from_stacked(np.eye(3), (1, 2), like=like)
-        assert GFrame.from_stacked(2 * np.eye(3), like=like).counts == (1, 2)
+        with pytest.raises(ValueError, match="add up to the 3 rows"):
+            GFrame.from_stacked(np.eye(3), (1, 1))
+        assert GFrame.from_stacked(2 * np.eye(3), (1, 2)).counts == (1, 2)
 
 
 class TestFrameOperator:
@@ -470,6 +469,23 @@ class TestCanonicalMemo:
         assert np.array_equal(p.stacked, p_entries)
         assert np.array_equal(d.stacked, d_entries)
 
+    def test_failed_postconditions_are_memoized(self, monkeypatch):
+        f = random_gframe(4, (2, 3), seed=7)
+        exact = model.matrix_power_eig
+        monkeypatch.setattr(model, "matrix_power_eig", lambda eig, a: 1.01 * exact(eig, a))
+        built = []
+        for name in ("canonical_parseval_stack", "dual_residuals"):
+            real = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args, real=real, name=name: built.append(name) or real(*args))
+        for family in (canonical_parseval, canonical_dual):
+            with pytest.raises(PostconditionError) as first:
+                family(f)
+            with pytest.raises(PostconditionError) as again:
+                family(f)
+            assert str(again.value) == str(first.value)
+        # Each family and its check are formed once; the second call raises the kept error.
+        assert built == ["canonical_parseval_stack", "dual_residuals"]
+
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -492,7 +508,7 @@ class TestStackedTransforms:
 
     def test_stacked_power_gates_each_frame(self):
         good = random_gframe(3, (2, 2), seed=1)
-        bad = GFrame.from_stacked(good.stacked * [0.0, 1.0, 1.0], like=good)
+        bad = GFrame.from_stacked(good.stacked * [0.0, 1.0, 1.0], good.counts)
         _, fo = self.stacked([good, bad])
         with pytest.raises(NotAFrameError) as alone:
             validate_frame(bad)
