@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -92,19 +93,26 @@ def at_least_check(name: str, lhs: float, rhs: float, slack: float) -> CheckResu
     return CheckResult(name, float(lhs), float(rhs), residual, float(slack), residual <= slack)
 
 
-def _guard(checks: list[CheckResult], name: str, fn) -> None:
-    """Run one check builder; an exception becomes a failed row."""
+@contextmanager
+def _guard(checks: list[CheckResult], name: str):
+    """Yield add(check, lhs, rhs, tolerance, row=name) for one step's rows.
+
+    The rows join checks only when the block completes; an exception in it
+    becomes one failed row under the step's name instead.
+    """
+    rows: list[CheckResult] = []
+
+    def add(check, lhs: float, rhs: float, tolerance: float, row: str = name) -> None:
+        rows.append(check(row, lhs, rhs, tolerance))
+
     try:
-        produced = fn()
+        yield add
     except Exception as exc:  # any check exception marks the report failed
         checks.append(
             CheckResult(f"{name} [error: {type(exc).__name__}: {exc}]", 0.0, 0.0, 0.0, -1.0, False)
         )
-        return
-    if isinstance(produced, CheckResult):
-        checks.append(produced)
     else:
-        checks.extend(produced)
+        checks.extend(rows)
 
 
 def _child_seed(master: np.random.Generator) -> int:
@@ -132,26 +140,19 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     energy = total_frobenius_energy(f)
     trace_s = trace(frame_operator(f).matrix).real
-    _guard(checks, "energy-equals-trace", lambda: equality_check(
-        "energy-equals-trace", energy, trace_s, 1e-10 * (1.0 + trace_s)))
-    _guard(checks, "energy-interval-lower", lambda: at_least_check(
-        "energy-interval-lower", energy, bounds.lower * n, 1e-9 * (1.0 + bounds.lower * n)))
-    _guard(checks, "energy-interval-upper", lambda: at_most_check(
-        "energy-interval-upper", energy, bounds.upper * n, 1e-9 * (1.0 + bounds.upper * n)))
-
-    def budget_row():
+    with _guard(checks, "energy-equals-trace") as add:
+        add(equality_check, energy, trace_s, 1e-10 * (1.0 + trace_s))
+    with _guard(checks, "energy-interval-lower") as add:
+        add(at_least_check, energy, bounds.lower * n, 1e-9 * (1.0 + bounds.lower * n))
+    with _guard(checks, "energy-interval-upper") as add:
+        add(at_most_check, energy, bounds.upper * n, 1e-9 * (1.0 + bounds.upper * n))
+    with _guard(checks, "parseval-budget-canonical") as add:
         value = parseval_frobenius_budget(canonical_parseval(f))
-        return equality_check(
-            "parseval-budget-canonical", value, float(n), parseval_budget_tolerance(n))
-
-    _guard(checks, "parseval-budget-canonical", budget_row)
-
+        add(equality_check, value, float(n), parseval_budget_tolerance(n))
     for a in POWER_EXPONENTS:
-        def power_row(a=a):
+        with _guard(checks, f"power-trace[a={a}]") as add:
             lhs, rhs = power_trace_identity(f, a)
-            return equality_check(f"power-trace[a={a}]", lhs, rhs, power_trace_tolerance(rhs))
-
-        _guard(checks, f"power-trace[a={a}]", power_row)
+            add(equality_check, lhs, rhs, power_trace_tolerance(rhs))
 
     weight = complex_gaussian_matrix(master, n, n)
     weight_sq = frobenius_norm_sq(weight)
@@ -159,17 +160,13 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     seeds = [_child_seed(master) for _ in range(trials)]
     energies = _companion_terms(f, seeds, lambda stack: parseval_weighted_energy(weight, stack).tolist())
     for j, outcome in enumerate(energies):
-        def energy_row(j=j, outcome=outcome):
+        with _guard(checks, f"weighted-energy[trial={j}]") as add:
             value = unwrap(outcome)
             values.append(value)
-            return equality_check(
-                f"weighted-energy[trial={j}]", value, weight_sq, weighted_energy_tolerance(weight_sq))
-
-        _guard(checks, f"weighted-energy[trial={j}]", energy_row)
+            add(equality_check, value, weight_sq, weighted_energy_tolerance(weight_sq))
     if values:
-        spread = max(values) - min(values)
-        _guard(checks, "weighted-energy-spread", lambda: at_most_check(
-            "weighted-energy-spread", spread, 0.0, 1e-7 * (1.0 + weight_sq)))
+        with _guard(checks, "weighted-energy-spread") as add:
+            add(at_most_check, max(values) - min(values), 0.0, 1e-7 * (1.0 + weight_sq))
     return checks
 
 
@@ -178,22 +175,13 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
     checks: list[CheckResult] = []
     master = stream(seed, substream=2)
 
-    def gap_row():
+    with _guard(checks, "parseval-gap-two-path") as add:
         gap = parseval_gap(f)
-        return equality_check(
-            "parseval-gap-two-path", gap, spectral_parseval_gap(f), parseval_gap_tolerance(gap))
-
-    _guard(checks, "parseval-gap-two-path", gap_row)
-
-    def canonical_rows():
+        add(equality_check, gap, spectral_parseval_gap(f), parseval_gap_tolerance(gap))
+    with _guard(checks, "parseval-approx-canonical") as add:
         total, canonical_gap, cross = parseval_approx_decomposition(f, canonical_parseval(f))
-        return [
-            at_most_check("parseval-approx-canonical-cross", cross, 0.0, 1e-8),
-            equality_check(
-                "parseval-approx-canonical-total", total, canonical_gap, 1e-8 * (1.0 + total)),
-        ]
-
-    _guard(checks, "parseval-approx-canonical", canonical_rows)
+        add(at_most_check, cross, 0.0, 1e-8, row="parseval-approx-canonical-cross")
+        add(equality_check, total, canonical_gap, 1e-8 * (1.0 + total), row="parseval-approx-canonical-total")
 
     def decompositions(companions) -> list:
         total, canonical_gap, cross = parseval_approx_decomposition(f, companions)
@@ -202,19 +190,15 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
     totals: list[float] = []
     seeds = [_child_seed(master) for _ in range(trials)]
     for j, outcome in enumerate(_companion_terms(f, seeds, decompositions)):
-        def identity_row(j=j, outcome=outcome):
+        with _guard(checks, f"parseval-approx-identity[trial={j}]") as add:
             total, canonical_gap, cross = unwrap(outcome)
             totals.append(total)
-            return equality_check(
-                f"parseval-approx-identity[trial={j}]",
-                total, canonical_gap + cross, parseval_approx_tolerance(total))
-
-        _guard(checks, f"parseval-approx-identity[trial={j}]", identity_row)
+            add(equality_check, total, canonical_gap + cross, parseval_approx_tolerance(total))
     if totals:
         # parseval_gap again, not the row above's value, so a gap that cannot be
         # computed errors this row with its own exception.
-        _guard(checks, "parseval-gap-minimality", lambda: at_least_check(
-            "parseval-gap-minimality", min(totals), parseval_gap(f), 1e-9))
+        with _guard(checks, "parseval-gap-minimality") as add:
+            add(at_least_check, min(totals), parseval_gap(f), 1e-9)
     return checks
 
 
@@ -227,38 +211,25 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     # within the dual equation's tolerance; on a frame with ||T||_F <= 256 sqrt(n) it is 1.
     magnitude = min(1.0, 256.0 * math.sqrt(n / total_frobenius_energy(f)))
 
-    # Each row reads the memoized canonical_dual itself, so a failed
-    # postcondition becomes that row's error instead of ending the report.
-    def canonical_equation_row():
+    # Each step reads the memoized canonical_dual itself, so a failed
+    # postcondition becomes that step's error instead of ending the report.
+    with _guard(checks, "dual-equation-canonical") as add:
         cert = verify_alternate_dual(f, canonical_dual(f))
-        return at_most_check("dual-equation-canonical", cert.residual, 0.0, cert.tolerance)
-
-    _guard(checks, "dual-equation-canonical", canonical_equation_row)
-
-    def probe() -> np.ndarray:
-        parts = standard_normals(master, 2 * n)
-        return parts[:n] + 1j * parts[n:]
-
-    def canonical_pointwise():
+        add(at_most_check, cert.residual, 0.0, cert.tolerance)
+    with _guard(checks, "pointwise-dual-canonical-residual") as add:
         # One draw of the 5 probes, made first, so the trials' seeds never depend on the dual.
         parts = standard_normal_batches(master, 5, 2 * n)
         probes = parts[:, :n] + 1j * parts[:, n:]
         _, _, residual = pointwise_dual_decomposition(f, canonical_dual(f), probes.T)
-        return at_most_check("pointwise-dual-canonical-residual", float(np.max(residual)), 0.0, 1e-10)
-
-    _guard(checks, "pointwise-dual-canonical-residual", canonical_pointwise)
-
-    def closed_form_row():
+        add(at_most_check, float(np.max(residual)), 0.0, 1e-10)
+    with _guard(checks, "frobenius-dual-closed-form") as add:
         total, canonical_term, residual = frobenius_dual_decomposition(f, canonical_dual(f))
-        rows = [
-            at_most_check("frobenius-dual-canonical-residual", residual, 0.0, 1e-9),
-            equality_check(
-                "frobenius-dual-closed-form",
-                canonical_term, canonical_dual_gap(f), dual_closed_form_tolerance(canonical_term)),
-        ]
-        return rows
+        add(at_most_check, residual, 0.0, 1e-9, row="frobenius-dual-canonical-residual")
+        add(equality_check, canonical_term, canonical_dual_gap(f), dual_closed_form_tolerance(canonical_term))
 
-    _guard(checks, "frobenius-dual-closed-form", closed_form_row)
+    def probe() -> np.ndarray:
+        parts = standard_normals(master, 2 * n)
+        return parts[:n] + 1j * parts[n:]
 
     def build(batch: list) -> list:
         """Per trial: its certificate and Frobenius and pointwise terms, from one stacked call per identity."""
@@ -273,21 +244,14 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     drawn = [(_child_seed(master), probe()) for _ in range(trials)]
     item_bytes = batch_item_bytes(*f.stacked.shape, companion=False)
     for j, outcome in enumerate(in_batches(build, drawn, item_bytes)):
-        def trial_rows(j=j, outcome=outcome):
+        with _guard(checks, f"dual-trial[trial={j}]") as add:
             cert, (total, canonical_term, residual), (ptotal, pcanon, pres) = unwrap(outcome)
-            return [
-                at_most_check(f"dual-equation[trial={j}]", cert.residual, 0.0, cert.tolerance),
-                equality_check(
-                    f"frobenius-dual-identity[trial={j}]",
-                    total, canonical_term + residual, frobenius_dual_tolerance(total)),
-                equality_check(
-                    f"pointwise-dual-identity[trial={j}]",
-                    ptotal, pcanon + pres, pointwise_dual_tolerance(ptotal)),
-                at_least_check(
-                    f"pointwise-dual-minimality[trial={j}]", ptotal, pcanon, 1e-9 * (1.0 + ptotal)),
-            ]
-
-        _guard(checks, f"dual-trial[trial={j}]", trial_rows)
+            add(at_most_check, cert.residual, 0.0, cert.tolerance, row=f"dual-equation[trial={j}]")
+            add(equality_check, total, canonical_term + residual, frobenius_dual_tolerance(total),
+                row=f"frobenius-dual-identity[trial={j}]")
+            add(equality_check, ptotal, pcanon + pres, pointwise_dual_tolerance(ptotal),
+                row=f"pointwise-dual-identity[trial={j}]")
+            add(at_least_check, ptotal, pcanon, 1e-9 * (1.0 + ptotal), row=f"pointwise-dual-minimality[trial={j}]")
     return checks
 
 
@@ -303,16 +267,12 @@ def bounds_suite(f: GFrame) -> list[CheckResult]:
     if not in_range:
         return checks
 
-    def parseval_row():
+    with _guard(checks, "parseval-proximity-bound") as add:
         gap, bound = parseval_proximity_bound(f)
-        return at_most_check("parseval-proximity-bound", gap, bound, proximity_slack(n))
-
-    def dual_row():
+        add(at_most_check, gap, bound, proximity_slack(n))
+    with _guard(checks, "dual-proximity-bound") as add:
         gap, bound = dual_proximity_bound(f)
-        return at_most_check("dual-proximity-bound", gap, bound, proximity_slack(n))
-
-    _guard(checks, "parseval-proximity-bound", parseval_row)
-    _guard(checks, "dual-proximity-bound", dual_row)
+        add(at_most_check, gap, bound, proximity_slack(n))
     return checks
 
 

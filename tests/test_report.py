@@ -85,15 +85,26 @@ class TestChecks:
 
     def test_guard_converts_exceptions_to_failed_rows(self):
         rows = []
-
-        def boom():
+        with _guard(rows, "exploding-check"):
             raise RuntimeError("kaput")
-
-        _guard(rows, "exploding-check", boom)
         assert len(rows) == 1
         assert not rows[0].passed
         assert "kaput" in rows[0].name
         assert rows[0].residual >= 0.0
+
+    def test_guard_keeps_no_partial_rows_of_a_failed_step(self):
+        rows = []
+        with _guard(rows, "whole-step") as add:
+            add(equality_check, 1.0, 1.0, 1e-9)
+            add(at_most_check, 1.0, 2.0, 0.0, row="whole-step-second")
+        with _guard(rows, "two-row-step") as add:
+            add(equality_check, 1.0, 1.0, 1e-9, row="two-row-step-first")
+            raise RuntimeError("kaput")
+        assert rows == [
+            equality_check("whole-step", 1.0, 1.0, 1e-9),
+            at_most_check("whole-step-second", 1.0, 2.0, 0.0),
+            CheckResult("two-row-step [error: RuntimeError: kaput]", 0.0, 0.0, 0.0, -1.0, False),
+        ]
 
 
 class TestRunSuite:
@@ -124,6 +135,19 @@ class TestRunSuite:
         f = random_gframe(3, (2, 2), seed=8)
         report = run_suite(f, "all", trials=2, seed=9)
         assert report.overall == all(c.passed for c in report.checks)
+
+    def test_rows_pass_by_their_residual_and_error_rows_are_zero(self):
+        golden = [load_frame(GOLDEN / f"{name}.frame.json")
+                  for name in ("extremal", "nearly-parseval", "wide-vectors")]
+        errors = 0
+        for f in golden + [kappa_frame()]:
+            for c in run_suite(f, "all", trials=4, seed=7).checks:
+                if "[error: " in c.name:
+                    errors += 1
+                    assert (c.lhs, c.rhs, c.residual, c.tolerance, c.passed) == (0.0, 0.0, 0.0, -1.0, False), c
+                else:
+                    assert c.passed == (c.residual <= c.tolerance), c
+        assert errors  # the kappa frame's report has error rows
 
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
