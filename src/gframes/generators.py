@@ -9,14 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, GFrameError
-from .model import (
-    FrameOperator,
-    GFrame,
-    ParsevalStack,
-    canonical_parseval,
-    canonical_parseval_stack,
-    frame_matrices,
-)
+from .model import FrameOperator, GFrame, ParsevalStack, canonical_parseval, frame_matrices, parseval_stack
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
@@ -29,8 +22,10 @@ BATCH_BYTES = 1 << 20
 def batch_item_bytes(k: int, n: int, companion: bool) -> int:
     """Working set of one random dual, or one random Parseval companion, of a K x n frame in a batch.
 
-    Four K x n stacks of 16-byte entries, and for a companion four n x n ones
-    (S, its eigenvectors, the power): within a few percent of the traced peak, or above it.
+    Four K x n stacks of 16-byte entries, within a few percent of a dual's
+    traced peak. A companion adds four n x n ones: an upper bound on its QR
+    working set (the draw, Q, its phased copy and S'), whose traced slope per
+    item is 218 KB against 295 KB on 48 x 48, and 57 KB against 67 KB on 256 x 4.
     """
     return 16 * 4 * (k * n + (n * n if companion else 0))
 
@@ -80,39 +75,20 @@ def in_batches(build, items, item_bytes: int):
         del outcomes  # free this batch before the next one is built
 
 
-def _random_frames(n: int, counts: tuple[int, ...], seeds: list[int]) -> tuple:
-    """Gaussian frames for several seeds, drawn and decomposed as stacks.
-
-    Returns (t, fo, gens): t is the (B, K, n) stack of the seeds' frames in
-    seed order, fo its FrameOperator, and gens[i] the live stream that drew
-    seed i's frame, kept for follow-up draws. A seed whose draw fails the
-    rank gate is drawn again on its next substream, alone with the other
-    failed seeds, and S and its eigendecomposition are then built again for
-    the whole stack. Raises GFrameError when a seed draws no frame in
-    RETRY_CAP attempts.
-    """
-    gens = [stream(seed) for seed in seeds]
-    t = complex_gaussian_stack(gens, counts, n)
-    fo = FrameOperator(frame_matrices(t))
-    for retry in range(1, RETRY_CAP):
-        failed = np.flatnonzero(~fo.is_frame)
-        if not failed.size:
-            break
-        for i in failed:
-            gens[i] = stream(seeds[i], substream=retry)
-        t[failed] = complex_gaussian_stack([gens[i] for i in failed], counts, n)
-        fo = FrameOperator(frame_matrices(t))
-    if not fo.is_frame.all():
-        raise GFrameError(
-            f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}")
-    return t, fo, gens
-
-
 def _random_gframe(n: int, counts, seed: int) -> tuple[GFrame, np.random.Generator]:
-    """Gaussian frame plus the live stream that produced it (for follow-up draws)."""
+    """Gaussian frame plus the live stream that produced it (for follow-up draws).
+
+    A draw that fails the rank gate is drawn again on the seed's next
+    substream. Raises GFrameError when no frame is drawn in RETRY_CAP attempts.
+    """
     counts = _check_params(n, counts)
-    t, fo, (gen,) = _random_frames(n, counts, [seed])
-    return GFrame.from_stacked(t[0], counts, frame_op=fo[0]), gen
+    for substream in range(RETRY_CAP):
+        gen = stream(seed, substream)
+        t = complex_gaussian_stack([gen], counts, n)[0]
+        fo = FrameOperator(frame_matrices(t))
+        if fo.is_frame:
+            return GFrame.from_stacked(t, counts, frame_op=fo), gen
+    raise GFrameError(f"no frame obtained after {RETRY_CAP} attempts for n = {n}, counts = {list(counts)}")
 
 
 def random_gframe(n: int, counts, seed: int) -> GFrame:
@@ -125,30 +101,42 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
 
 
 def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> ParsevalStack:
-    """Canonical Parseval transforms of the seeds' random Gaussian frames, in seed order, as one ParsevalStack.
+    """Random Parseval frames of one shape, one per seed in seed order, as one ParsevalStack.
 
     n and counts are taken as checked: counts is a tuple of positive ints
     adding up to at least n, as random_parseval_gframe checks and as a
-    frame's own shape is. The frames are drawn and decomposed as stacks, and
-    their transforms come from one model.canonical_parseval_stack call.
-    Raises the GFrameError of a seed that never drew a frame, or what that
-    call raises; in the suites, in_batches then redoes the call seed by seed.
+    frame's own shape is. Each seed draws a Gaussian K x n frame T on its
+    stream, and its companion is the Q factor of T = QR with R's diagonal
+    made positive (_unit_pivots): Parseval by construction, and distributed
+    as the polar factor T·S^(-1/2) is, uniformly on the K x n isometries
+    (Mezzadri, Notices AMS 2007). The draws and the QR are stacked. Raises
+    what parseval_stack raises; in the suites, in_batches then redoes the
+    call seed by seed.
     """
-    t, fo, _ = _random_frames(n, counts, seeds)
-    return canonical_parseval_stack(t, fo)
+    q, r = np.linalg.qr(complex_gaussian_stack([stream(seed) for seed in seeds], counts, n))
+    return parseval_stack(_unit_pivots(q, r))
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:
-    """Canonical Parseval transform of a random Gaussian frame: the one-seed case of parseval_companions."""
+    """Random Parseval frame: the one-seed case of parseval_companions."""
     counts = _check_params(n, counts)
     return GFrame.from_stacked(parseval_companions(n, counts, [seed]).families[0], counts)
 
 
+def _unit_pivots(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """q of a QR, or of a stack of QRs, with each column times the phase of its pivot in R.
+
+    This makes R's diagonal non-negative and keeps q's columns orthonormal. A
+    zero pivot takes phase 1.
+    """
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)[..., np.newaxis, :]
+
+
 def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
     """Orthonormalize a Gaussian matrix: its QR factor Q, with R's diagonal made positive."""
-    q, r = np.linalg.qr(complex_gaussian_matrix(gen, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unit_pivots(*np.linalg.qr(complex_gaussian_matrix(gen, n, n)))
 
 
 def nearly_parseval_gframe(n: int, counts, epsilon: float, seed: int) -> GFrame:

@@ -65,8 +65,8 @@ def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
     """gam as a (B, K, n) stack and its terms' form (see _stack), once each family is Parseval.
 
     gam is a GFrame, whose memoized S is read, a (B, K, n) stack of analysis
-    operators, or a ParsevalStack, whose families canonical_parseval_stack
-    has already checked. Raises NotParsevalError for the first family that
+    operators, or a ParsevalStack, whose families model.parseval_stack has
+    already checked. Raises NotParsevalError for the first family that
     misses the Parseval rule.
     """
     families, given = _stack(gam, "families", like)

@@ -141,17 +141,11 @@ class FrameOperator:
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
 
-    def __init__(self, matrix: np.ndarray, eig: HermitianEigen | None = None):
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self._eig = eig
+        self._eig = None
         self._bounds = None
         self._powers = {}
-
-    def __getitem__(self, b: int) -> FrameOperator:
-        """Frame b of the stack, with its S and, once the stack's is built, its eigendecomposition."""
-        eig = None if self._eig is None else HermitianEigen(
-            eigenvalues=self._eig.eigenvalues[b], eigenvectors=self._eig.eigenvectors[b])
-        return FrameOperator(self.matrix[b], eig)
 
     @property
     def eig(self) -> HermitianEigen:
@@ -285,25 +279,24 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
 
 
 class ParsevalStack(NamedTuple):
-    """Canonical Parseval transforms and their S', as canonical_parseval_stack returns them.
+    """Parseval families and their S', as parseval_stack returns them.
 
-    Only canonical_parseval_stack makes one, once each transform has met the
-    Parseval rule; identities.require_parseval reads that check instead of
-    running it again. Both arrays are read-only.
+    Only parseval_stack makes one, once each family has met the Parseval
+    rule; identities.require_parseval reads that check instead of running it
+    again. Both arrays are read-only.
     """
 
     families: np.ndarray
     s: np.ndarray
 
 
-def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
-    """T·S^(-1/2) of a K x n analysis operator, or of each of a (B, K, n) stack, with its frame operator S'.
+def parseval_stack(p: np.ndarray) -> ParsevalStack:
+    """A K x n analysis operator, or a (B, K, n) stack of them, made read-only, with its frame operator S'.
 
-    fo is the FrameOperator of t. Returns the transforms, shaped as t, and
-    their S'. Raises what fo.power raises, and PostconditionError when a
-    transform misses the Parseval rule (parseval_tolerance).
+    The postcondition of every Parseval builder. Raises PostconditionError
+    when a family misses the Parseval rule (parseval_tolerance), and what
+    frame_matrices raises.
     """
-    p = t @ fo.power(-0.5)
     p.setflags(write=False)
     s = frame_matrices(p)
     defects = parseval_defects(s)
@@ -314,6 +307,14 @@ def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
     return ParsevalStack(p, s)
+
+
+def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
+    """T·S^(-1/2) of a K x n analysis operator, or of each of a (B, K, n) stack, through parseval_stack.
+
+    fo is the FrameOperator of t. Raises what fo.power and parseval_stack raise.
+    """
+    return parseval_stack(t @ fo.power(-0.5))
 
 
 def _memoized(outcome):

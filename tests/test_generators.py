@@ -1,15 +1,16 @@
 """Seeded constructors: determinism, certification, exact spectral shaping."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gframes import generators, model
+from gframes import generators
 from gframes.errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
-from gframes.linalg import RANK_TOLERANCE, frobenius_norm
+from gframes.linalg import frobenius_norm
 from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
     embed_vector_frame,
@@ -179,17 +180,11 @@ def reference_blocks(gen, counts, n):
     return np.vstack(blocks)
 
 
-def reference_companion(n, counts, seed, first_substream=0):
-    """One seed at a time: draw, S, eigh, rank gate, S^(-1/2), product."""
-    for substream in range(first_substream, generators.RETRY_CAP):
-        t = reference_blocks(stream(seed, substream), counts, n)
-        s = t.conj().T @ t
-        w, v = np.linalg.eigh(0.5 * s + 0.5 * s.conj().T)
-        order = np.argsort(-w, kind="stable")
-        w, v = w[order], np.ascontiguousarray(v[:, order])
-        if w[-1] > RANK_TOLERANCE * w[0]:
-            return t @ ((v * np.power(w, -0.5)) @ v.conj().T)
-    raise AssertionError("the reference drew no frame")
+def reference_companion(n, counts, seed):
+    """One seed at a time: draw on substream 0, QR, and R's pivots made positive."""
+    q, r = np.linalg.qr(reference_blocks(stream(seed), counts, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def same_bits(a, b):
@@ -262,19 +257,23 @@ class TestRandomParsevalBatches:
         extra=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=8),
         seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=11),
     )
+    # The benchmark's shapes, 48 x 48 and 256 x 4, and 1 x 1.
+    @example(n=48, extra=[], seeds=[5, 6, 7])
+    @example(n=4, extra=[1] * 252, seeds=list(range(10)))
+    @example(n=1, extra=[], seeds=[3])
     def test_batches_equal_per_seed_reference(self, n, extra, seeds):
         counts = (n, *extra)
-        sizes = []
-        real_eig = model.hermitian_eig
+        calls = []
+        real_qr, real_eigh = np.linalg.qr, np.linalg.eigh
 
-        def counting_eig(m, **kwargs):
-            sizes.append(m.shape[0])
-            return real_eig(m, **kwargs)
+        def counting(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        with mock.patch.object(model, "hermitian_eig", counting_eig):
+        with mock.patch.object(np.linalg, "qr", counting("qr", real_qr)), \
+                mock.patch.object(np.linalg, "eigh", counting("eigh", real_eigh)):
             companions = parseval_companions(n, counts, seeds)
-        # Every seed's S is decomposed in one stacked call.
-        assert sizes == [len(seeds)]
+        # Every seed's draw is factored in one stacked QR, and no S is decomposed.
+        assert calls == ["qr"]
         assert len(companions.families) == len(seeds)
         for seed, family in zip(seeds, companions.families):
             reference = reference_companion(n, counts, seed)
@@ -288,7 +287,9 @@ class TestRandomParsevalBatches:
         companions = parseval_companions(3, (2, 2), [7])
         assert same_bits(companions.families[0], random_parseval_gframe(3, (2, 2), seed=7).stacked)
 
-    def test_rank_failure_redraws_only_that_seed_on_substream_1(self, monkeypatch):
+    def test_zero_column_draw_gives_a_parseval_companion(self, monkeypatch):
+        # A zero column is a zero pivot of R, whose phase is taken as 1: Q keeps
+        # orthonormal columns, and nothing is redrawn or divided by zero.
         seeds, bad = [11, 12, 13, 14], 13
         calls, origin = [], {}
         real_stream, real_stack = generators.stream, generators.complex_gaussian_stack
@@ -296,27 +297,47 @@ class TestRandomParsevalBatches:
         def recording_stream(seed, substream=0):
             gen = real_stream(seed, substream)
             calls.append((seed, substream))
-            origin[id(gen)] = (seed, substream)
+            origin[id(gen)] = seed
             return gen
 
         def deficient_stack(gens, counts, cols):
             t = real_stack(gens, counts, cols)
             for j, gen in enumerate(gens):
-                if origin[id(gen)] == (bad, 0):
-                    t[j, :, 0] = 0.0  # a zero column: S is singular and the rank gate rejects it
+                if origin[id(gen)] == bad:
+                    t[j, :, 0] = 0.0
             return t
 
         monkeypatch.setattr(generators, "stream", recording_stream)
         monkeypatch.setattr(generators, "complex_gaussian_stack", deficient_stack)
-        companions = parseval_companions(3, (2, 2), seeds)
-        assert calls == [(s, 0) for s in seeds] + [(bad, 1)]
-        for seed, family in zip(seeds, companions.families):
-            first = 1 if seed == bad else 0
-            assert same_bits(family, reference_companion(3, (2, 2), seed, first))
-        calls.clear()
-        alone = random_parseval_gframe(3, (2, 2), seed=bad)
-        assert calls == [(bad, 0), (bad, 1)]
-        assert same_bits(alone.stacked, reference_companion(3, (2, 2), bad, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            companions = parseval_companions(3, (2, 2), seeds)
+            calls_stacked = list(calls)
+            calls.clear()
+            alone = random_parseval_gframe(3, (2, 2), seed=bad)
+        assert calls_stacked == [(s, 0) for s in seeds]
+        assert calls == [(bad, 0)]
+        for seed, family, s in zip(seeds, companions.families, companions.s):
+            assert frobenius_norm(s - np.eye(3)) <= 1e-14 * 3
+            if seed != bad:
+                assert same_bits(family, reference_companion(3, (2, 2), seed))
+        assert same_bits(alone.stacked, companions.families[seeds.index(bad)])
+
+    def test_ill_conditioned_draw_gives_a_parseval_companion(self, monkeypatch):
+        # A draw with kappa(T) = 1e4 has kappa(S) = 1e8. Its polar factor
+        # T·S^(-1/2) misses Parseval by 1e-10 * n to 1e-9 * n on these seeds;
+        # Q stays orthonormal at round-off.
+        real_stack = generators.complex_gaussian_stack
+
+        def ill_conditioned_stack(gens, counts, cols):
+            t = real_stack(gens, counts, cols)
+            u, _, vh = np.linalg.svd(t, full_matrices=False)
+            return (u * np.geomspace(1.0, 1e-4, cols)) @ vh
+
+        monkeypatch.setattr(generators, "complex_gaussian_stack", ill_conditioned_stack)
+        companions = parseval_companions(6, (3, 3), [1, 2, 3])
+        for s in companions.s:
+            assert frobenius_norm(s - np.eye(6)) <= 1e-14 * 6
 
     def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
         seeds, bad = [21, 22, 23], 22
@@ -346,3 +367,39 @@ class TestRandomParsevalBatches:
             if seed != bad:
                 assert same_bits(random_parseval_gframe(3, (2, 2), seed=seed).stacked,
                                  reference_companion(3, (2, 2), seed))
+
+
+class TestCompanionDistribution:
+    """Random Parseval companions against Haar measure on the K x n isometries.
+
+    Under Haar measure every column of Q is uniform on the unit sphere of C^K,
+    so |Q_ij|^2 is Beta(1, K - 1): E|Q_ij|^2 = 1/K, E|Q_ij|^4 = 2/(K(K + 1)),
+    and E Q_ij = 0. Companions of distinct seeds are independent, so each
+    statistic is averaged per companion and compared with its target within
+    5 standard errors, the standard error taken from the sample variance of
+    those per-companion averages. A Q whose pivots keep LAPACK's signs has
+    E Q_11 < 0; real Gaussian draws give E|Q_ij|^4 = 3/(K(K + 2)), 36 % above
+    the target at K = 9.
+    """
+
+    @pytest.mark.parametrize("n, counts", [(6, (3, 3, 3)), (4, (1,) * 10)])
+    def test_moments_match_haar(self, n, counts):
+        k = sum(counts)
+        companions = parseval_companions(n, counts, list(range(1000, 3000)))
+        q = companions.families
+        # Every family is Parseval at round-off, so the mean of |Q_ij|^2 is 1/K exactly.
+        defects = np.sqrt((np.abs(companions.s - np.eye(n)) ** 2).sum(axis=(1, 2)))
+        assert defects.max() <= 1e-14 * n
+        squares = np.abs(q) ** 2
+        assert np.abs(squares.mean(axis=(1, 2)) - 1.0 / k).max() <= 1e-14 / k
+
+        def within_five_errors(per_companion, target):
+            error = per_companion.std(ddof=1) / np.sqrt(per_companion.size)
+            return abs(per_companion.mean() - target) <= 5.0 * error
+
+        fourth = (squares ** 2).mean(axis=(1, 2))
+        assert fourth.std(ddof=1) / np.sqrt(fourth.size) <= 0.01 * 2.0 / (k * (k + 1))
+        assert within_five_errors(fourth, 2.0 / (k * (k + 1)))
+        for part in (q.real, q.imag):
+            assert within_five_errors(part[:, 0, 0], 0.0)
+            assert within_five_errors(part.mean(axis=(1, 2)), 0.0)

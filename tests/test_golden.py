@@ -7,7 +7,12 @@ Check names, pass flags and exit codes must match exactly; report values,
 each row's residual and tolerance included, within 1e-9 * (1 + |x|). The
 twelve `pointwise-dual-minimality[trial=j]` tolerances were rewritten to the
 values of the relative slack 1e-9 * (1 + ptotal) that replaced the absolute
-1e-9 those rows were first written with; no other stored value changed.
+1e-9 those rows were first written with. When random Parseval companions
+became the Q factor of their Gaussian draw instead of its polar factor, the
+lhs, rhs, residual and tolerance of the five rows they set,
+`parseval-approx-identity[trial=j]` and `parseval-gap-minimality`, were
+rewritten on each frame; every other stored value stayed, the
+`weighted-energy` rows moving only at round-off.
 """
 
 import json

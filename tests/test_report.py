@@ -292,23 +292,23 @@ class TestParsevalGapFailure:
 class TestCompanionBatches:
     def test_failed_companion_is_only_its_own_row(self, monkeypatch):
         good = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
-        real = generators.canonical_parseval_stack
-        drawn = []
+        real = generators.parseval_stack
+        built = []
 
-        def recording(t, fo):
-            drawn.extend(t)
-            return real(t, fo)
+        def recording(p):
+            built.extend(p)
+            return real(p)
 
-        monkeypatch.setattr(generators, "canonical_parseval_stack", recording)
+        monkeypatch.setattr(generators, "parseval_stack", recording)
         run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
-        third = drawn[2]  # the frame of the third companion, drawn for weighted-energy[trial=2]
+        third = built[2]  # the third companion, built for weighted-energy[trial=2]
 
-        def flaky(t, fo):
-            if any(np.array_equal(frame, third) for frame in t):
+        def flaky(p):
+            if any(np.array_equal(family, third) for family in p):
                 raise PostconditionError("injected")
-            return real(t, fo)
+            return real(p)
 
-        monkeypatch.setattr(generators, "canonical_parseval_stack", flaky)
+        monkeypatch.setattr(generators, "parseval_stack", flaky)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         assert [c.name for c in bad.checks if "[error: " in c.name] == [
             "weighted-energy[trial=2] [error: PostconditionError: injected]"]
@@ -491,7 +491,7 @@ class TestChecksOncePerFamily:
         want = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=trials, seed=7)
         residual_stacks, gram_inputs, companions = [], [], []
         real_residuals, real_matrices = model.dual_residuals, model.frame_matrices
-        real_companions = generators.canonical_parseval_stack
+        real_companions = generators.parseval_stack
 
         def dual_residuals(lam, stack):
             residual_stacks.append(stack)
@@ -501,15 +501,15 @@ class TestChecksOncePerFamily:
             gram_inputs.append(t)
             return real_matrices(t)
 
-        def canonical_parseval_stack(t, fo):
-            made = real_companions(t, fo)
+        def parseval_stack(p):
+            made = real_companions(p)
             companions.append(made[0])
             return made
 
         monkeypatch.setattr(model, "dual_residuals", dual_residuals)
         monkeypatch.setattr(model, "frame_matrices", frame_matrices)
         monkeypatch.setattr(identities, "frame_matrices", frame_matrices)
-        monkeypatch.setattr(generators, "canonical_parseval_stack", canonical_parseval_stack)
+        monkeypatch.setattr(generators, "parseval_stack", parseval_stack)
         got = run_suite(f, "all", trials=trials, seed=7)
         assert got.checks == want.checks
         canonical = canonical_dual(f).stacked
@@ -518,7 +518,7 @@ class TestChecksOncePerFamily:
         assert len(of_canonical) == 1
         # Each trial's dual is one slice of one residual stack, its builder's (was 3).
         assert sum(len(d) for d in residual_stacks) - len(of_canonical) == trials
-        # Per batch, S' of the companions is formed once, by canonical_parseval_stack (was twice).
+        # Per batch, S' of the companions is formed once, by their postcondition parseval_stack (was twice).
         assert len(companions) == 2 * 3
         assert [sum(t is p for t in gram_inputs) for p in companions] == [1] * len(companions)
 
@@ -562,7 +562,7 @@ class TestChecksOncePerFamily:
     def test_injected_failures_get_the_builders_errors(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         batches_of(monkeypatch, 2)
-        real_companions, real_duals = generators.canonical_parseval_stack, duals._perturbed_duals
+        real_companions, real_duals = generators.parseval_stack, duals._perturbed_duals
         trial_seeds = []
 
         def recording_duals(lam, magnitude, seeds):
@@ -573,10 +573,10 @@ class TestChecksOncePerFamily:
         good = run_suite(f, "all", trials=4, seed=7)
         poisoned = {trial_seeds[1], trial_seeds[3]}  # the last dual of each batch of 2
 
-        def not_parseval(t, fo):
-            return real_companions(2.0 * t, fo)  # each transform has S' = 4 I
+        def not_parseval(p):
+            return real_companions(2.0 * p)  # each companion has S' = 4 I
 
-        monkeypatch.setattr(generators, "canonical_parseval_stack", not_parseval)
+        monkeypatch.setattr(generators, "parseval_stack", not_parseval)
         poison_duals(monkeypatch, poisoned.__contains__)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         errors = [c.name for c in bad.checks if "[error: " in c.name]
