@@ -114,7 +114,7 @@ def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> Pa
     call seed by seed.
     """
     q, r = np.linalg.qr(complex_gaussian_stack([stream(seed) for seed in seeds], counts, n))
-    return parseval_stack(_unit_pivots(q, r))
+    return parseval_stack(_unit_pivots(q, r), "random Parseval companion")
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:

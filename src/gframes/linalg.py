@@ -77,7 +77,7 @@ class HermitianEigen:
 
 
 def _require_hermitian(a: np.ndarray) -> None:
-    """Raise NotHermitianError for the first matrix of the stack `a` that is not Hermitian.
+    """Raise NotHermitianError unless the square matrix `a` is Hermitian.
 
     The criterion ||M - M*||_F > tol * (1 + ||M||_F) is evaluated on M / s
     with s = max |m_ij|, so squaring the entries can neither overflow nor
@@ -85,17 +85,14 @@ def _require_hermitian(a: np.ndarray) -> None:
     is divided by 1 instead, since 1 / s would overflow; its ||M - M*||_F,
     at most 2n * s, is then far below the tolerance, and it passes.
     """
-    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    divisor = np.where(scale >= np.finfo(np.float64).tiny, scale, 1.0)
+    scale = float(np.abs(a).max())
+    divisor = scale if scale >= np.finfo(np.float64).tiny else 1.0
     unit = a / divisor
-    skew = unit - unit.conj().swapaxes(-1, -2)
-    norm = np.sqrt((unit.real * unit.real + unit.imag * unit.imag).sum(axis=(-2, -1), keepdims=True))
-    asym = np.sqrt((skew.real * skew.real + skew.imag * skew.imag).sum(axis=(-2, -1), keepdims=True))
-    rejected = np.flatnonzero(asym > HERMITIAN_INPUT_TOLERANCE * (1.0 / divisor + norm))
-    if rejected.size:
-        first = rejected[0]
+    norm = frobenius_norm(unit)
+    asym = frobenius_norm(unit - unit.conj().T)
+    if asym > HERMITIAN_INPUT_TOLERANCE * (1.0 / divisor + norm):
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||M - M*||_F = {asym.flat[first] * scale.flat[first]:.3e} "
+            f"matrix is not Hermitian: ||M - M*||_F = {asym * scale:.3e} "
             f"exceeds {HERMITIAN_INPUT_TOLERANCE:.0e} * (1 + ||M||_F)"
         )
 
@@ -109,62 +106,45 @@ def hermitian_eig(m, *, check: bool = True) -> HermitianEigen:
     stable sort keeps the solver's order inside blocks of equal eigenvalues.
     Raises ConvergenceError if LAPACK reports that it did not converge.
 
-    `m` may also be a stack (..., n, n): each matrix is checked and decomposed
-    as it would be alone, in one numpy.linalg.eigh call, and the result holds
-    (..., n) eigenvalues and (..., n, n) eigenvectors. A matrix that fails a
-    check raises the error its 2-d call would raise.
-
     check=False skips the input checks, for an S = T* T from model.frame_matrices:
     finite, as that function checked, and Hermitian by construction.
     """
     a = np.asarray(m, dtype=np.complex128)
     if check:
-        if a.ndim < 2:
-            raise ValueError(f"m must be two-dimensional, got shape {a.shape}")
-        if min(a.shape) < 1:
-            raise ValueError(f"m must have positive dimensions, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("m contains non-finite entries")
-        if a.shape[-2] != a.shape[-1]:
+        a = as_matrix(a, "m", require_finite=True)
+        if a.shape[0] != a.shape[1]:
             raise ValueError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
         _require_hermitian(a)
 
     try:
         # Halving each term first keeps the sum finite for entries up to the double maximum.
-        w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().swapaxes(-1, -2))
+        w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-    order = np.argsort(-w, axis=-1, kind="stable")
-    eigenvalues = np.take_along_axis(w, order, axis=-1)
-    eigenvectors = np.take_along_axis(vec, order[..., np.newaxis, :], axis=-1)
+    order = np.argsort(-w, kind="stable")
+    eigenvalues = w[order]
+    eigenvectors = vec.take(order, axis=1)  # C-contiguous, unlike vec[:, order]
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def full_rank(eigenvalues: np.ndarray) -> np.ndarray:
-    """The rank rule lambda_min > RANK_TOLERANCE * lambda_max, per non-increasing spectrum of a (..., n) stack."""
-    return eigenvalues[..., -1] > RANK_TOLERANCE * eigenvalues[..., 0]
+def full_rank(eigenvalues: np.ndarray) -> bool:
+    """The rank rule lambda_min > RANK_TOLERANCE * lambda_max, on a non-increasing spectrum."""
+    return bool(eigenvalues[-1] > RANK_TOLERANCE * eigenvalues[0])
 
 
 def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:
-    """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness.
-
-    `eig` may also hold a stack, as hermitian_eig returns it: each matrix is
-    gated and powered as it would be alone, and the first that fails the
-    gate raises.
-    """
+    """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness."""
     lam = eig.eigenvalues
-    rejected = np.flatnonzero(~full_rank(lam))
-    if rejected.size:
-        low, high = float(lam[..., -1].flat[rejected[0]]), float(lam[..., 0].flat[rejected[0]])
+    if not full_rank(lam):
         raise NotPositiveDefiniteError(
             f"matrix power needs lambda_min > {RANK_TOLERANCE:.0e} * lambda_max; "
-            f"got lambda_min = {low:.6e}, lambda_max = {high:.6e}",
-            lambda_min=low,
+            f"got lambda_min = {float(lam[-1]):.6e}, lambda_max = {float(lam[0]):.6e}",
+            lambda_min=float(lam[-1]),
         )
     u = eig.eigenvectors
-    return (u * np.power(lam, a)[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
+    return (u * np.power(lam, a)) @ u.conj().T
 
 
 def matrix_power(m, a: float) -> np.ndarray:

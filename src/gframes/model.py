@@ -130,13 +130,11 @@ class GFrame:
 
 
 class FrameOperator:
-    """The matrix S of a frame, or the (B, n, n) stack of S of B frames of one shape.
+    """The n x n matrix S of one frame.
 
-    The eigendecomposition, the rank gate and the powers are computed on first
-    use, for every frame of a stack at once; each matrix is decomposed and
-    powered as it would be alone. For one frame, `matrix`, `eig` and
-    `power(a)` are n x n; `bounds` is defined for one frame only. `matrix`
-    comes from frame_matrices, so hermitian_eig skips its input checks.
+    The eigendecomposition, the rank gate, the bounds and the powers are
+    computed on first use. `matrix` comes from frame_matrices, so
+    hermitian_eig skips its input checks.
     """
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
@@ -154,15 +152,14 @@ class FrameOperator:
         return self._eig
 
     @property
-    def is_frame(self) -> np.ndarray:
-        """The rank gate of each frame: lambda_min(S) > RANK_TOLERANCE * lambda_max(S) (linalg.full_rank)."""
+    def is_frame(self) -> bool:
+        """The rank gate: lambda_min(S) > RANK_TOLERANCE * lambda_max(S) (linalg.full_rank)."""
         return full_rank(self.eig.eigenvalues)
 
     def require_frame(self) -> None:
-        """Raise NotAFrameError for the first frame that fails the rank gate, as that frame alone would."""
-        failed = np.flatnonzero(~self.is_frame)
-        if failed.size:
-            lam = self.eig.eigenvalues.reshape(-1, self.matrix.shape[-1])[failed[0]]
+        """Raise NotAFrameError unless the frame passes the rank gate."""
+        if not self.is_frame:
+            lam = self.eig.eigenvalues
             upper, lower = float(lam[0]), float(lam[-1])
             raise NotAFrameError(
                 f"not a frame: lambda_min(S) = {lower:.6e} is at or below "
@@ -181,7 +178,7 @@ class FrameOperator:
         return self._bounds
 
     def power(self, a: float) -> np.ndarray:
-        """S^a of each frame (read-only), memoized per exponent; raises NotAFrameError as require_frame does.
+        """S^a (read-only), memoized per exponent; raises NotAFrameError as require_frame does.
 
         Raises FrameOverflowError when an entry of S^a exceeds the double range.
         """
@@ -290,12 +287,12 @@ class ParsevalStack(NamedTuple):
     s: np.ndarray
 
 
-def parseval_stack(p: np.ndarray) -> ParsevalStack:
+def parseval_stack(p: np.ndarray, family: str) -> ParsevalStack:
     """A K x n analysis operator, or a (B, K, n) stack of them, made read-only, with its frame operator S'.
 
-    The postcondition of every Parseval builder. Raises PostconditionError
-    when a family misses the Parseval rule (parseval_tolerance), and what
-    frame_matrices raises.
+    The postcondition of every Parseval builder; `family` names the builder's
+    family in the error. Raises PostconditionError when a family misses the
+    Parseval rule (parseval_tolerance), and what frame_matrices raises.
     """
     p.setflags(write=False)
     s = frame_matrices(p)
@@ -303,18 +300,10 @@ def parseval_stack(p: np.ndarray) -> ParsevalStack:
     failed = np.flatnonzero(~(defects <= parseval_tolerance(p.shape[-1])))
     if failed.size:
         raise PostconditionError(
-            f"canonical Parseval frame is not Parseval: ||S' - I||_F = {defects.flat[failed[0]]:.3e} "
+            f"{family} is not Parseval: ||S' - I||_F = {defects.flat[failed[0]]:.3e} "
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
     return ParsevalStack(p, s)
-
-
-def canonical_parseval_stack(t: np.ndarray, fo: FrameOperator) -> ParsevalStack:
-    """T·S^(-1/2) of a K x n analysis operator, or of each of a (B, K, n) stack, through parseval_stack.
-
-    fo is the FrameOperator of t. Raises what fo.power and parseval_stack raise.
-    """
-    return parseval_stack(t @ fo.power(-0.5))
 
 
 def _memoized(outcome):
@@ -327,12 +316,12 @@ def _memoized(outcome):
 def canonical_parseval(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1/2); the result has frame operator I.
 
-    The one-frame case of canonical_parseval_stack, memoized per frame, and
-    so is its PostconditionError; S' stays cached on the returned frame.
+    Checked by parseval_stack and memoized per frame, and so is its
+    PostconditionError; S' stays cached on the returned frame.
     """
     if f._parseval is None:
         try:
-            p, s = canonical_parseval_stack(f.stacked, frame_operator(f))
+            p, s = parseval_stack(f.stacked @ frame_operator(f).power(-0.5), "canonical Parseval frame")
             f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
         except PostconditionError as exc:
             f._parseval = exc.with_traceback(None)  # its frames would hold f

@@ -16,7 +16,6 @@ from gframes.linalg import (
     frobenius_norm_sq,
     hermitian_eig,
     matrix_power,
-    matrix_power_eig,
     trace,
 )
 
@@ -243,91 +242,37 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def stack_of(rng, kind, count, n):
-    """A stack of count n x n Hermitian matrices: Gram matrices, with repeated eigenvalues, or zero."""
+def hermitian_of(rng, kind, n):
+    """An n x n Hermitian matrix: a Gram matrix, one with repeated eigenvalues, or zero."""
     if kind == "gram":
-        t = rng.standard_normal((count, 2 * n, n)) + 1j * rng.standard_normal((count, 2 * n, n))
-        return np.swapaxes(t.conj(), -1, -2) @ t
+        t = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        return t.conj().T @ t
     if kind == "repeated":
-        return np.stack([np.diag(rng.choice([1.0, 2.0], n)).astype(complex) for _ in range(count)])
-    return np.zeros((count, n, n), dtype=complex)
+        return np.diag(rng.choice([1.0, 2.0], n)).astype(complex)
+    return np.zeros((n, n), dtype=complex)
 
 
-class TestStackedHermitianEig:
-    """A (..., n, n) stack is decomposed as each of its matrices would be alone."""
+class TestHermitianEigReference:
+    """hermitian_eig is LAPACK's pairs of the symmetrized matrix, stably sorted non-increasing."""
 
     @settings(deadline=None, max_examples=60)
     @given(
         kind=st.sampled_from(["gram", "repeated", "zero"]),
-        count=st.integers(min_value=1, max_value=6),
         n=st.integers(min_value=1, max_value=9),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_stack_equals_per_matrix_calls(self, kind, count, n, seed):
-        m = stack_of(np.random.default_rng(seed), kind, count, n)
-        stacked = hermitian_eig(m)
-        assert stacked.eigenvalues.shape == (count, n)
-        assert stacked.eigenvectors.shape == (count, n, n)
-        for j in range(count):
-            alone = hermitian_eig(m[j])
-            assert np.array_equal(bits(stacked.eigenvalues[j]), bits(alone.eigenvalues))
-            assert np.array_equal(bits(stacked.eigenvectors[j]), bits(alone.eigenvectors))
-            # Independent of the library's gather: LAPACK's pairs of the symmetrized
-            # matrix, stably sorted non-increasing by plain indexing.
-            w, v = np.linalg.eigh(0.5 * m[j] + 0.5 * m[j].conj().T)
-            order = np.argsort(-w, kind="stable")
-            assert np.array_equal(bits(alone.eigenvalues), bits(w[order]))
-            assert np.array_equal(bits(alone.eigenvectors), bits(v[:, order]))
+    def test_equals_sorted_lapack_pairs(self, kind, n, seed):
+        m = hermitian_of(np.random.default_rng(seed), kind, n)
+        got = hermitian_eig(m)
+        # Independent of the library's gather: plain indexing of eigh's output.
+        w, v = np.linalg.eigh(0.5 * m + 0.5 * m.conj().T)
+        order = np.argsort(-w, kind="stable")
+        assert np.array_equal(bits(got.eigenvalues), bits(w[order]))
+        assert np.array_equal(bits(got.eigenvectors), bits(v[:, order]))
+        # The powers' BLAS products read this layout.
+        assert got.eigenvectors.flags.c_contiguous
 
-    def test_two_level_stack(self, rng):
-        m = stack_of(rng, "gram", 6, 3).reshape(2, 3, 3, 3)
-        stacked = hermitian_eig(m)
-        alone = hermitian_eig(m[1, 2])
-        assert np.array_equal(bits(stacked.eigenvectors[1, 2]), bits(alone.eigenvectors))
-
-    @pytest.mark.parametrize("where", [0, 2, 4])
-    def test_non_hermitian_slice_raises_its_own_error(self, rng, where):
-        m = stack_of(rng, "gram", 5, 4)
-        m[where, 0, 1] += 1.0
-        with pytest.raises(NotHermitianError) as alone:
-            hermitian_eig(m[where])
-        with pytest.raises(NotHermitianError) as stacked:
+    def test_rejects_a_stack(self, rng):
+        m = np.stack([hermitian_of(rng, "gram", 3) for _ in range(2)])
+        with pytest.raises(ValueError, match="two-dimensional"):
             hermitian_eig(m)
-        assert str(stacked.value) == str(alone.value)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_slice_raises_its_own_error(self, rng, value):
-        m = stack_of(rng, "gram", 5, 4)
-        m[3, 2, 2] = value
-        with pytest.raises(ValueError) as alone:
-            hermitian_eig(m[3])
-        with pytest.raises(ValueError) as stacked:
-            hermitian_eig(m)
-        assert str(stacked.value) == str(alone.value)
-
-
-class TestStackedMatrixPower:
-    """Powers of a stacked decomposition equal each matrix's power alone, bit for bit."""
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        count=st.integers(min_value=1, max_value=6),
-        n=st.integers(min_value=1, max_value=9),
-        a=st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 3.0]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_stack_equals_per_matrix_calls(self, count, n, a, seed):
-        m = stack_of(np.random.default_rng(seed), "gram", count, n)
-        stacked = matrix_power_eig(hermitian_eig(m), a)
-        assert stacked.shape == (count, n, n)
-        for j in range(count):
-            assert np.array_equal(bits(stacked[j]), bits(matrix_power_eig(hermitian_eig(m[j]), a)))
-
-    def test_failing_slice_raises_its_own_error(self):
-        m = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])]).astype(complex)
-        with pytest.raises(NotPositiveDefiniteError) as alone:
-            matrix_power(m[1], 0.5)
-        with pytest.raises(NotPositiveDefiniteError) as stacked:
-            matrix_power(m, 0.5)
-        assert str(stacked.value) == str(alone.value)
-        assert stacked.value.lambda_min == -1.0

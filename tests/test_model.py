@@ -23,12 +23,12 @@ from gframes.model import (
     analysis_apply,
     canonical_dual,
     canonical_parseval,
-    canonical_parseval_stack,
     dual_residual,
     frame_matrices,
     frame_operator,
     parseval_defect,
     parseval_defects,
+    parseval_stack,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,
@@ -474,7 +474,7 @@ class TestCanonicalMemo:
         exact = model.matrix_power_eig
         monkeypatch.setattr(model, "matrix_power_eig", lambda eig, a: 1.01 * exact(eig, a))
         built = []
-        for name in ("canonical_parseval_stack", "dual_residuals"):
+        for name in ("parseval_stack", "dual_residuals"):
             real = getattr(model, name)
             monkeypatch.setattr(model, name, lambda *args, real=real, name=name: built.append(name) or real(*args))
         for family in (canonical_parseval, canonical_dual):
@@ -484,89 +484,22 @@ class TestCanonicalMemo:
                 family(f)
             assert str(again.value) == str(first.value)
         # Each family and its check are formed once; the second call raises the kept error.
-        assert built == ["canonical_parseval_stack", "dual_residuals"]
+        assert built == ["parseval_stack", "dual_residuals"]
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class TestStackedTransforms:
-    """Powers and canonical Parseval transforms of several frames, built as stacks, equal each frame's own."""
+class TestParsevalStack:
+    """parseval_stack checks each family of a stack and names the builder's family in its error."""
 
-    @staticmethod
-    def stacked(frames):
-        t = np.stack([f.stacked for f in frames])
-        return t, FrameOperator(frame_matrices(t))
-
-    def test_stacked_power_equals_each_power(self):
-        _, fo = self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(3)])
-        stack = fo.power(-0.5)
-        assert fo.power(-0.5) is stack
-        for s, power in enumerate(stack):
-            assert same_bits(power, frame_operator(random_gframe(4, (2, 3), seed=s)).power(-0.5))
-
-    def test_stacked_power_gates_each_frame(self):
-        good = random_gframe(3, (2, 2), seed=1)
-        bad = GFrame.from_stacked(good.stacked * [0.0, 1.0, 1.0], good.counts)
-        _, fo = self.stacked([good, bad])
-        with pytest.raises(NotAFrameError) as alone:
-            validate_frame(bad)
-        with pytest.raises(NotAFrameError) as stacked:
-            fo.power(-0.5)
-        assert str(stacked.value) == str(alone.value)
-        assert stacked.value.lambda_min == alone.value.lambda_min
-
-    def test_parseval_stack_equals_each_canonical_parseval(self):
-        p, s = canonical_parseval_stack(*self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(4)]))
-        for seed, (transform, gram) in enumerate(zip(p, s)):
-            alone = canonical_parseval(random_gframe(4, (2, 3), seed=seed))
-            assert same_bits(transform, alone.stacked)
-            assert same_bits(gram, frame_operator(alone).matrix)
-
-    def test_parseval_stack_checks_each_transform(self, monkeypatch):
-        t, fo = self.stacked([random_gframe(4, (2, 3), seed=s) for s in range(3)])
-        monkeypatch.setattr(model, "PARSEVAL_TOLERANCE", -1.0)
-        with pytest.raises(PostconditionError, match="is not Parseval"):
-            canonical_parseval_stack(t, fo)
-
-
-class TestStackedFrameOperator:
-    """A FrameOperator of a (B, n, n) stack gates and powers each frame as the frame's own one does."""
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        n=st.integers(min_value=1, max_value=6),
-        counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),
-        deficient=st.lists(st.booleans(), min_size=1, max_size=5),
-        a=st.sampled_from([-1.0, -0.5, -0.25, 0.5, 1.0, 2.0]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_gate_and_power_equal_each_frame(self, n, counts, deficient, a, seed):
-        rng = np.random.default_rng(seed)
-        shape = (len(deficient), sum(counts), n)
-        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        t[np.array(deficient), :, 0] = 0.0  # a zero column: S is singular
-        frames = [GFrame.from_stacked(slice_, counts) for slice_ in t]
-        fo = FrameOperator(frame_matrices(t))
-        errors = []
-        for f in frames:
-            try:
-                validate_frame(f)
-            except NotAFrameError as exc:
-                errors.append(exc)
-            else:
-                errors.append(None)
-        assert fo.is_frame.tolist() == [e is None for e in errors]
-        first = next((e for e in errors if e is not None), None)
-        if first is None:
-            for power, f in zip(fo.power(a), frames):
-                assert same_bits(power, frame_operator(f).power(a))
-        else:
-            with pytest.raises(NotAFrameError) as got:
-                fo.power(a)
-            assert str(got.value) == str(first)
-            assert got.value.lambda_min == first.lambda_min
+    def test_parseval_stack_checks_each_transform(self):
+        p = np.stack([canonical_parseval(random_gframe(4, (2, 3), seed=s)).stacked for s in range(3)])
+        p[1] *= 2.0  # S' = 4 I, so ||S' - I||_F = 6
+        with pytest.raises(PostconditionError, match=r"^random Parseval companion is not Parseval: "
+                                                     r"\|\|S' - I\|\|_F = 6\.000e\+00 exceeds 1e-06 \* n$"):
+            parseval_stack(p, "random Parseval companion")
 
 
 class TestLibraryFormedS:
@@ -591,11 +524,11 @@ class TestLibraryFormedS:
         shape = (frames, sum(counts), n)
         t = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0**j
         try:
-            s = frame_matrices(t)
+            matrices = [frame_matrices(slice_) for slice_ in t]  # each frame's S alone
         except FrameOverflowError:
             assume(False)  # S is not finite: no FrameOperator is built
-        linalg._require_hermitian(s)  # the check FrameOperator skips never rejects S
-        for matrix in (s, s[0]):
+        for matrix in matrices:
+            linalg._require_hermitian(matrix)  # the check FrameOperator skips never rejects S
             got, want = FrameOperator(matrix).eig, hermitian_eig(matrix)
             assert same_bits(got.eigenvalues, want.eigenvalues)
             assert same_bits(got.eigenvectors.view(np.float64), want.eigenvectors.view(np.float64))

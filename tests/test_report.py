@@ -295,18 +295,18 @@ class TestCompanionBatches:
         real = generators.parseval_stack
         built = []
 
-        def recording(p):
+        def recording(p, family):
             built.extend(p)
-            return real(p)
+            return real(p, family)
 
         monkeypatch.setattr(generators, "parseval_stack", recording)
         run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         third = built[2]  # the third companion, built for weighted-energy[trial=2]
 
-        def flaky(p):
-            if any(np.array_equal(family, third) for family in p):
+        def flaky(p, family):
+            if any(np.array_equal(q, third) for q in p):
                 raise PostconditionError("injected")
-            return real(p)
+            return real(p, family)
 
         monkeypatch.setattr(generators, "parseval_stack", flaky)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
@@ -501,8 +501,8 @@ class TestChecksOncePerFamily:
             gram_inputs.append(t)
             return real_matrices(t)
 
-        def parseval_stack(p):
-            made = real_companions(p)
+        def parseval_stack(p, family):
+            made = real_companions(p, family)
             companions.append(made[0])
             return made
 
@@ -573,8 +573,8 @@ class TestChecksOncePerFamily:
         good = run_suite(f, "all", trials=4, seed=7)
         poisoned = {trial_seeds[1], trial_seeds[3]}  # the last dual of each batch of 2
 
-        def not_parseval(p):
-            return real_companions(2.0 * p)  # each companion has S' = 4 I
+        def not_parseval(p, family):
+            return real_companions(2.0 * p, family)  # each companion has S' = 4 I
 
         monkeypatch.setattr(generators, "parseval_stack", not_parseval)
         poison_duals(monkeypatch, poisoned.__contains__)
@@ -584,7 +584,7 @@ class TestChecksOncePerFamily:
                           for j in range(4)]
         assert [name.split(" [error")[0] for name in errors] == companion_rows + [
             "dual-trial[trial=1]", "dual-trial[trial=3]"]
-        assert all("[error: PostconditionError: canonical Parseval frame is not Parseval: " in name
+        assert all("[error: PostconditionError: random Parseval companion is not Parseval: " in name
                    for name in errors[:8])
         assert all("[error: NotADualError: family is not an alternate dual: " in name for name in errors[8:])
         # Trials 0 and 2 keep their dual rows value for value.
