@@ -261,10 +261,9 @@ def bounds_suite(f: GFrame) -> list[CheckResult]:
     bounds = validate_frame(f)
     eps = bounds.epsilon
     n = f.dim_h
-    in_range = eps < 1.0
-    checks.append(CheckResult(
-        "epsilon-in-range", eps, 1.0, max(0.0, eps - 1.0), 0.0, in_range))
-    if not in_range:
+    # eps < 1 exactly when eps <= pred(1), so the row passes by residual <= tolerance.
+    checks.append(at_most_check("epsilon-in-range", eps, math.nextafter(1.0, 0.0), 0.0))
+    if not checks[-1].passed:
         return checks
 
     with _guard(checks, "parseval-proximity-bound") as add:

@@ -1,17 +1,23 @@
-"""Frame interchange format: round trips, schema validation, optional imaginary part."""
+"""Frame interchange format: round trips, schema validation, optional imaginary part, and the orjson reader against json."""
 
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gframes
 from gframes import io as frame_io
+from gframes.cli import main
 from gframes.errors import FrameFormatError
 from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from gframes.generators import random_gframe
@@ -321,3 +327,196 @@ def test_valid_document_skips_the_per_entry_loop(path, monkeypatch):
 
     monkeypatch.setattr(frame_io, "_read_checked", refuse)
     assert np.array_equal(load_frame(path).stacked.view(np.uint64), want.view(np.uint64))
+
+
+def json_route(path):
+    """The frame of the file at path as the reader built it before orjson: json.load of UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FrameFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FrameFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise FrameFormatError(f"JSON in {path} is nested too deeply to read") from None
+    return frame_from_dict(doc)
+
+
+def json_text(value, number, newline="\n") -> str:
+    """value as JSON text with each float spelled by number(x) and each list item on its own line."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(v, number, newline)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ("," + newline).join(json_text(v, number, newline) for v in value) + "]"
+    return number(value) if isinstance(value, float) else json.dumps(value)
+
+
+# Every finite double, by its bits, with subnormals and signed zeros made likely.
+BIT_ENTRIES = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.integers(min_value=1, max_value=2**52 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+).filter(math.isfinite)
+# Integers within and beyond 64 bits (orjson reads the latter as floats, json as ints), up to
+# the largest that still rounds to a finite double.
+INT_ENTRIES = st.one_of(
+    st.integers(min_value=-(2**64) - 2**12, max_value=2**64 + 2**12),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=2**1023, max_value=2**1024 - 2**970 - 1),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 - 1, 2**64, 2**64 + 2**11, 2**64 + 2**11 + 1]),
+)
+SPELLINGS = {
+    "write_frame": None,
+    "compact json.dump": None,
+    "%.17g": lambda x: "%.17g" % x,
+    "%.25e": lambda x: "%.25e" % x,
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    f=frames(max_operators=8),
+    data=st.data(),
+    spelling=st.sampled_from(sorted(SPELLINGS)),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_valid_documents_load_as_json_reads_them(f, data, spelling, newline, tmp_path_factory):
+    doc = frame_to_dict(f)
+    rows = [row for entry in doc["operators"] for part in ("re", "im") for row in entry.get(part, [])]
+    size = sum(map(len, rows))
+    values = iter(data.draw(st.lists(st.one_of(BIT_ENTRIES, INT_ENTRIES), min_size=size, max_size=size)))
+    for row in rows:
+        row[:] = [next(values) for _ in row]
+    if spelling == "write_frame":
+        buf = io.StringIO()
+        write_frame(frame_from_dict(doc), buf)
+        text = buf.getvalue()
+    elif spelling == "compact json.dump":
+        text = json.dumps(doc, separators=(",", ":"))
+    else:
+        text = json_text(doc, SPELLINGS[spelling], newline)
+    path = tmp_path_factory.mktemp("doc") / "frame.json"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    want, got = json_route(path), load_frame(path)
+    assert got.counts == want.counts
+    assert np.array_equal(got.stacked.view(np.uint64), want.stacked.view(np.uint64))
+
+
+def operator_doc(rows="1", dim_h="2", entry="0.5"):
+    return f'{{"dim_h": {dim_h}, "operators": [{{"rows": {rows}, "re": [[1.0, {entry}]]}}]}}'.encode()
+
+
+MALFORMED = {
+    "empty file": b"",
+    "null": b"null",
+    "top-level array": b"[]",
+    "NaN entry": operator_doc(entry="NaN"),
+    "Infinity entry": operator_doc(entry="Infinity"),
+    "1e400 entry": operator_doc(entry="1e400"),
+    "10**400 entry": operator_doc(entry=str(10**400)),
+    "2**64 dim_h": operator_doc(dim_h=str(2**64)),
+    "2**64 rows": operator_doc(rows=str(2**64)),
+    "12.0 rows": operator_doc(rows="12.0"),
+    "trailing comma": b'{"dim_h": 2, "operators": [{"rows": 1, "re": [[1.0, 0.5],]}]}',
+    "leading zero": operator_doc(entry="00.5"),
+    "UTF-8 BOM": b"\xef\xbb\xbf" + operator_doc(),
+    "invalid UTF-8": b'{"dim_h": 2, "note": "caf\xe9", "operators": []}',
+    "CRLF syntax error on line 3": b'{\r\n  "dim_h": 2,\r\n  "operators": [{"rows": 1 "re": [[1.0, 0.5]]}]\r\n}\r\n',
+    "100000-deep nesting": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_fail_as_json_fails(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED[name])
+    with pytest.raises(FrameFormatError) as want:
+        json_route(path)
+    with pytest.raises(FrameFormatError) as got:
+        load_frame(path)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", ["NaN entry", "2**64 rows"])
+def test_malformed_document_from_a_pipe_is_named(name, tmp_path):
+    # A pipe cannot be read twice: json must name the fault from the bytes orjson was given.
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED[name])
+    with pytest.raises(FrameFormatError) as want:
+        json_route(path)
+    read_end, write_end = os.pipe()
+    os.write(write_end, MALFORMED[name])
+    os.close(write_end)
+    try:
+        with pytest.raises(FrameFormatError) as got:
+            load_frame(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert str(got.value) == str(want.value)
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [4, frame_io.MAX_ORJSON_DEPTH, frame_io.MAX_ORJSON_DEPTH + 1, 700])
+def test_unknown_keys_nested_within_the_recursion_limit_load(depth, tmp_path):
+    # Up to MAX_ORJSON_DEPTH orjson reads the document, deeper json does; both load it.
+    path = tmp_path / "frame.json"
+    path.write_text(operator_doc().decode()[:-1] + f', "note": {nested(depth - 1)}}}')
+    assert np.array_equal(load_frame(path).stacked, json_route(path).stacked)
+
+
+def test_unknown_key_nested_beyond_the_recursion_limit_is_refused(tmp_path):
+    # No loosening: json still reads any document nested deeper than MAX_ORJSON_DEPTH.
+    path = tmp_path / "frame.json"
+    path.write_text(operator_doc().decode()[:-1] + f', "note": {nested(5000)}}}')
+    with pytest.raises(FrameFormatError, match=r"is nested too deeply to read$"):
+        load_frame(path)
+
+
+def test_lone_surrogate_in_an_unknown_key_loads(tmp_path):
+    # orjson refuses a lone surrogate escape; json, the fallback, reads it as it always has.
+    path = tmp_path / "frame.json"
+    path.write_text(operator_doc().decode()[:-1] + ', "note": "\\ud800"}')
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(path.read_bytes())
+    assert np.array_equal(load_frame(path).stacked, json_route(path).stacked)
+
+
+def test_nesting_that_overflows_orjson_exits_2(tmp_path):
+    # A million levels overflow the C stack of orjson's object builder (a crash,
+    # so the command runs in its own process); json refuses them with an error.
+    path = tmp_path / "deep.json"
+    path.write_text(nested(1_000_000))
+    env = dict(os.environ, PYTHONPATH=str(Path(gframes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gframes.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: JSON in {path} is nested too deeply to read\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def depth_of(value) -> int:
+    if isinstance(value, (list, dict)):
+        return 1 + max(map(depth_of, value.values() if isinstance(value, dict) else value), default=0)
+    return 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(value=JSON_VALUES, ensure_ascii=st.booleans())
+def test_nesting_depth_skips_brackets_in_strings(value, ensure_ascii):
+    # Strings drawn with brackets, quotes and backslashes must not move the count.
+    text = json.dumps(value, ensure_ascii=ensure_ascii, allow_nan=False)
+    assert frame_io._nesting_depth(text.encode("utf-8")) == depth_of(value)

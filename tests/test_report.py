@@ -140,7 +140,9 @@ class TestRunSuite:
         golden = [load_frame(GOLDEN / f"{name}.frame.json")
                   for name in ("extremal", "nearly-parseval", "wide-vectors")]
         errors = 0
-        for f in golden + [kappa_frame()]:
+        # Two 1 x 1 operators equal to 1: S = 2, so epsilon is exactly 1 and out of range.
+        epsilon_one = GFrame([np.ones((1, 1)), np.ones((1, 1))])
+        for f in golden + [kappa_frame(), epsilon_one]:
             for c in run_suite(f, "all", trials=4, seed=7).checks:
                 if "[error: " in c.name:
                     errors += 1
