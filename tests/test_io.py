@@ -20,7 +20,7 @@ from gframes import io as frame_io
 from gframes.cli import main
 from gframes.errors import FrameFormatError
 from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
-from gframes.generators import random_gframe
+from gframes.generators import nearly_parseval_gframe, random_gframe
 from gframes.model import GFrame
 
 
@@ -155,9 +155,13 @@ def test_integer_entries_load_as_float():
     assert f.stacked[0, 1] == complex(-3.0, 5.0)
 
 
-# Finite doubles, with the cases repr and json could format differently made likely.
+# Finite doubles, with the cases repr and json could format differently made likely, and the
+# bounds of the ranges where orjson's spelling differs from repr's (exponent forms, and plain
+# decimals in [1e-5, 1e-4)).
 ENTRIES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 1.0]),
+    st.sampled_from([1e-05, 9.999999999999999e-05, 0.0001, -1.5e-07, 1e16, 9999999999999998.0,
+                     1e15, 123456789012345680.0, 2.2250738585072014e-308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
@@ -401,6 +405,43 @@ def test_valid_documents_load_as_json_reads_them(f, data, spelling, newline, tmp
     want, got = json_route(path), load_frame(path)
     assert got.counts == want.counts
     assert np.array_equal(got.stacked.view(np.uint64), want.stacked.view(np.uint64))
+
+
+def entry_tokens(text: str) -> list[str]:
+    """The entries of a document write_frame wrote, as spelled, in document order."""
+    return [line.strip().rstrip(",") for line in text.split("\n") if line.startswith(" " * 10)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4), rows=st.integers(min_value=1, max_value=12))
+def test_every_entry_is_spelled_as_repr(data, n, rows):
+    values = data.draw(st.lists(BIT_ENTRIES, min_size=2 * rows * n, max_size=2 * rows * n))
+    t = np.array(values).reshape(2, rows, n)
+    f = GFrame.from_stacked(t[0] + 1j * t[1], (rows,))
+    buf = io.StringIO()
+    write_frame(f, buf)
+    entry, = frame_to_dict(f)["operators"]
+    written = [x for part in ("re", "im") for row in entry.get(part, []) for x in row]
+    assert entry_tokens(buf.getvalue()) == list(map(repr, written))
+
+
+@pytest.mark.parametrize("x", [10.00001, -10.00001, 20.0000123, 3.0e-05, -7.25e-05])
+def test_tokens_caught_by_the_search_are_spelled_as_repr(x):
+    # orjson spells the last two unlike repr; the first three it spells as repr does.
+    assert b"0.0000" in orjson.dumps(x)
+    buf = io.StringIO()
+    write_frame(GFrame.from_stacked(np.array([[x, 1.0]]), (1,)), buf)
+    assert entry_tokens(buf.getvalue()) == [repr(x), "1.0"]
+
+
+def test_saved_file_is_the_utf8_of_the_written_text(tmp_path):
+    f = nearly_parseval_gframe(6, (3, 3, 3), 0.3, seed=5)
+    t = f.stacked * np.array([1.0, 1e-5, 1e16, -1.5e-7, 1e-300, 5e-324])
+    f = GFrame.from_stacked(t, f.counts)
+    buf = io.StringIO()
+    write_frame(f, buf)
+    save_frame(f, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def operator_doc(rows="1", dim_h="2", entry="0.5"):
