@@ -164,19 +164,13 @@ class TestRandomUnitary:
 
 
 def reference_blocks(gen, counts, n):
-    """Gaussian blocks drawn one Box-Muller batch at a time, straight from the uniforms."""
+    """Gaussian blocks drawn one block at a time: 2·k·n normals, each entry's real part before its imaginary part."""
     blocks = []
     for k in counts:
-        parts = []
-        for _ in range(2):  # the real batch, then the imaginary batch
-            size = k * n
-            pairs = (size + 1) // 2
-            u1 = 1.0 - gen.random(pairs)
-            u2 = gen.random(pairs)
-            radius = np.sqrt(-2.0 * np.log(u1))
-            angle = (2.0 * np.pi) * u2
-            parts.append(np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size])
-        blocks.append((parts[0] + 1j * parts[1]).reshape(k, n))
+        parts = gen.standard_normal(2 * k * n)
+        block = np.empty(k * n, dtype=np.complex128)
+        block.real, block.imag = parts[0::2], parts[1::2]
+        blocks.append(block.reshape(k, n))
     return np.vstack(blocks)
 
 

@@ -1,4 +1,4 @@
-"""Seeded draws: one batched draw per family reproduces the per-block Box-Muller sequence."""
+"""Seeded draws: numpy's standard normals on the Philox stream, taken in order, bit for bit."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -9,20 +9,21 @@ from gframes.rng import complex_gaussian_stack, standard_normals, stream
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @settings(deadline=None, max_examples=80)
 @given(count=st.integers(min_value=0, max_value=41), seed=SEEDS)
 @example(count=7, seed=0)
-def test_standard_normals_follow_box_muller(count, seed):
+def test_standard_normals_equal_numpy_draws(count, seed):
+    # The reference draws one normal at a time, so a draw of count normals is
+    # also count draws of one.
     gen = stream(seed)
-    pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    expected = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    expected = np.array([gen.standard_normal() for _ in range(count)], dtype=np.float64)
     drawn = stream(seed)
     got = standard_normals(drawn, count)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert same_bits(got, expected)
     assert drawn.random() == gen.random()
 
 
@@ -32,17 +33,36 @@ def test_standard_normals_follow_box_muller(count, seed):
     counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12),
     seed=SEEDS,
 )
-@example(n=3, counts=[1, 2, 3], seed=5)  # odd k * n: the last sin value of a batch is dropped
+@example(n=3, counts=[1, 2, 3], seed=5)  # blocks of unequal size
 def test_batched_blocks_equal_per_block_draws(n, counts, seed):
     gen = stream(seed)
     blocks = []
     for k in counts:
-        re = standard_normals(gen, k * n)
-        im = standard_normals(gen, k * n)
-        blocks.append((re + 1j * im).reshape(k, n))
+        parts = standard_normals(gen, 2 * k * n)
+        block = np.empty(k * n, dtype=np.complex128)
+        block.real, block.imag = parts[0::2], parts[1::2]
+        blocks.append(block.reshape(k, n))
     reference = np.vstack(blocks)
     drawn = stream(seed)
     batched = complex_gaussian_stack([drawn], counts, n)[0]
-    assert batched.shape == reference.shape
-    assert np.array_equal(batched.view(np.uint64), reference.view(np.uint64))
+    assert same_bits(batched, reference)
     assert drawn.random() == gen.random()
+
+
+def test_complex_parts_are_standard_and_uncorrelated():
+    """Real and imaginary parts of a fixed-seed stack: each of mean 0 and variance 1, uncorrelated.
+
+    Over N = 100 000 entries of independent standard normals x and y, the
+    sample mean of x has standard error 1/sqrt(N), the sample mean of x^2
+    sqrt(2/N) (Var x^2 = 2), and the sample mean of x*y 1/sqrt(N)
+    (Var xy = 1). Each statistic is held within 5 standard errors of its
+    target.
+    """
+    z = complex_gaussian_stack([stream(seed) for seed in (11, 12, 13, 14)], (1,) * 2500, 10).ravel()
+    size = z.size
+    assert size == 100_000
+    error = 1.0 / np.sqrt(size)
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) <= 5.0 * error
+        assert abs((part**2).mean() - 1.0) <= 5.0 * np.sqrt(2.0) * error
+    assert abs((z.real * z.imag).mean()) <= 5.0 * error
