@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
 def cmd_dual(args) -> int:
     frame = load_frame(args.path)
     dual = random_alternate_dual(frame, magnitude=args.magnitude, seed=args.seed)
-    cert = verify_alternate_dual(frame, dual)  # the certificate random_alternate_dual made, not a second check
+    cert = verify_alternate_dual(frame, dual)  # a second check, equal to the one random_alternate_dual passed
     canonical = canonical_dual(frame)
     distance_sq = frobenius_norm_sq(dual.stacked - canonical.stacked)
     lines = [

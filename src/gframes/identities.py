@@ -33,7 +33,6 @@ from .model import (
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
-    verify_alternate_dual,
 )
 
 
@@ -88,17 +87,15 @@ def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
 def require_alternate_dual(lam: GFrame, gam):
     """gam as a (B, K, n) stack and its terms' form (see _stack), once each is an alternate dual of lam.
 
-    gam is a GFrame, checked by verify_alternate_dual (which reads its
-    builder's certificate), a (B, K, n) stack of analysis operators of lam's
-    shape, or a DualStack of lam, whose duals certified_duals has already
-    checked. Raises NotADualError for the first that misses the dual equation.
+    gam is a GFrame or a (B, K, n) stack of analysis operators of lam's
+    shape, each checked here by dual_certificates, or a DualStack of lam,
+    whose duals certified_duals has already checked. Raises NotADualError
+    for the first that misses the dual equation.
     """
     duals, given = _stack(gam, "duals", like=lam)
-    if isinstance(gam, DualStack) and gam.frame is lam:
-        return duals, given
-    certs = [verify_alternate_dual(lam, gam)] if isinstance(gam, GFrame) else dual_certificates(lam, duals)
-    for cert in certs:
-        cert.require()
+    if not (isinstance(gam, DualStack) and gam.frame is lam):
+        for cert in dual_certificates(lam, duals):
+            cert.require()
     return duals, given
 
 

@@ -38,13 +38,11 @@ class GFrame:
 
     The operators live, in order, as the row blocks of one read-only K x n
     array, the analysis operator T (`stacked`); `operators` are read-only
-    views of those blocks. S and both canonical families (or the error of a
-    family's failed postcondition) are memoized, and so is the
-    DualCertificate of a frame that a builder certified as an alternate
-    dual (verify_alternate_dual).
+    views of those blocks. S and both canonical families are memoized once
+    they are built and pass their check; no check's outcome is kept.
     """
 
-    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual", "_certificate")
+    __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual")
 
     def __init__(self, operators, dim_h: int | None = None):
         blocks = []
@@ -97,7 +95,7 @@ class GFrame:
         self._stacked = t
         self._counts = counts
         self._offsets = offsets
-        self._frame_op = self._parseval = self._dual = self._certificate = None
+        self._frame_op = self._parseval = self._dual = None
 
     @property
     def dim_h(self) -> int:
@@ -306,42 +304,34 @@ def parseval_stack(p: np.ndarray, family: str) -> ParsevalStack:
     return ParsevalStack(p, s)
 
 
-def _memoized(outcome):
-    """A canonical family memoized on its frame, or the error of its failed postcondition raised anew."""
-    if isinstance(outcome, PostconditionError):
-        raise PostconditionError(*outcome.args)
-    return outcome
-
-
 def canonical_parseval(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1/2); the result has frame operator I.
 
-    Checked by parseval_stack and memoized per frame, and so is its
-    PostconditionError; S' stays cached on the returned frame.
+    Checked by parseval_stack, whose PostconditionError every failing call
+    raises anew; a family that passes is memoized per frame, with S' cached on it.
     """
     if f._parseval is None:
-        try:
-            p, s = parseval_stack(f.stacked @ frame_operator(f).power(-0.5), "canonical Parseval frame")
-            f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
-        except PostconditionError as exc:
-            f._parseval = exc.with_traceback(None)  # its frames would hold f
-    return _memoized(f._parseval)
+        p, s = parseval_stack(f.stacked @ frame_operator(f).power(-0.5), "canonical Parseval frame")
+        f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
+    return f._parseval
 
 
 def canonical_dual(f: GFrame) -> GFrame:
     """Right-multiply every operator by S^(-1); the canonical alternate dual.
 
     Raises PostconditionError when the result misses the dual equation by
-    more than DUAL_TOLERANCE * n. The dual, or that error, is memoized per
-    frame; the dual keeps its certificate (verify_alternate_dual).
+    more than DUAL_TOLERANCE * n, on every call that builds it; a dual that
+    passes is memoized per frame.
     """
     if f._dual is None:
         d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
         cert = verify_alternate_dual(f, d)
-        f._dual = certify_dual(f, d, cert) if cert.passed else PostconditionError(
-            f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
-            f"exceeds {DUAL_TOLERANCE:.0e} * n")
-    return _memoized(f._dual)
+        if not cert.passed:
+            raise PostconditionError(
+                f"canonical dual fails the dual equation: residual {cert.residual:.3e} "
+                f"exceeds {DUAL_TOLERANCE:.0e} * n")
+        f._dual = d
+    return f._dual
 
 
 def reconstruct(f: GFrame, x) -> np.ndarray:
@@ -427,24 +417,8 @@ class DualStack(NamedTuple):
     families: np.ndarray
 
 
-def certify_dual(lam: GFrame, gam: GFrame, cert: DualCertificate) -> GFrame:
-    """gam, keeping cert, its builder's check against lam, for verify_alternate_dual.
-
-    gam keeps lam's analysis operator, not lam, so a canonical dual memoized
-    on lam forms no reference cycle.
-    """
-    gam._certificate = (lam.stacked, cert)
-    return gam
-
-
 def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:
-    """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h.
-
-    A dual that its builder certified against lam (canonical_dual,
-    duals.certified_duals) gives back that certificate.
-    """
+    """Certificate for the dual equation at tolerance DUAL_TOLERANCE * dim_h, formed on each call."""
     require_matching_shapes(lam, gam)
-    if gam._certificate is not None and gam._certificate[0] is lam.stacked:
-        return gam._certificate[1]
     (cert,) = dual_certificates(lam, gam.stacked[np.newaxis])
     return cert

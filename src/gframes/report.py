@@ -211,8 +211,8 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     # within the dual equation's tolerance; on a frame with ||T||_F <= 256 sqrt(n) it is 1.
     magnitude = min(1.0, 256.0 * math.sqrt(n / total_frobenius_energy(f)))
 
-    # Each step reads the memoized canonical_dual itself, so a failed
-    # postcondition becomes that step's error instead of ending the report.
+    # Each step calls canonical_dual itself, so a failed postcondition
+    # becomes that step's error instead of ending the report.
     with _guard(checks, "dual-equation-canonical") as add:
         cert = verify_alternate_dual(f, canonical_dual(f))
         add(at_most_check, cert.residual, 0.0, cert.tolerance)

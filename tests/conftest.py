@@ -44,3 +44,29 @@ def harmonic_frames(draw, min_c=1e-3, max_c=3.0, max_n=32, max_k=256):
     k = draw(st.integers(min_value=n, max_value=max(n, max_k)))
     c = 10.0 ** draw(st.floats(min_value=math.log10(min_c), max_value=math.log10(max_c)))
     return k, n, c
+
+
+@st.composite
+def fusion_frames(draw, min_v=0.03, max_v=1.6, max_n=8):
+    """(rows, counts, v) of the fusion frame v * rows, with rows* rows = I and a block of k_i > 1.
+
+    Its operators are v_i E_i*, with E_i an n x k_i isometry, so S = sum v_i^2 E_i E_i*
+    (Casazza and Kutyniok, "Frames of subspaces", 2004). Two tight constructions:
+    orthogonal subspaces, the columns of one random unitary cut into blocks,
+    each at weight v; or two orthonormal bases of C^n, each cut into blocks,
+    each at weight v / sqrt(2). Either way S = v^2 I, the canonical Parseval
+    family is rows and the canonical dual is rows / v. v is log-uniform.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    v = 10.0 ** draw(st.floats(min_value=math.log10(min_v), max_value=math.log10(max_v)))
+    bases = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows, counts = [], []
+    for _ in range(bases):
+        q, _ = np.linalg.qr(random_complex(rng, n, n))
+        rows.append(q.conj().T)
+        cut = [draw(st.integers(min_value=2, max_value=n))]
+        while sum(cut) < n:
+            cut.append(draw(st.integers(min_value=1, max_value=n - sum(cut))))
+        counts.extend(cut)
+    return np.concatenate(rows) / math.sqrt(bases), tuple(counts), v

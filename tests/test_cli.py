@@ -302,16 +302,25 @@ class TestDual:
         assert float(fields["distance_to_canonical"]) == 0.0
         assert fields["dual_passed"] == "True"
 
-    def test_unit_magnitude_residual_within_tolerance(self, capsys, tmp_path):
-        path = tmp_path / "f.json"
-        out_path = tmp_path / "d.json"
-        run(capsys, "gen", "random", "--n", "4", "--counts", "2,2,2", "--seed", "2", "-o", str(path))
+    @pytest.mark.parametrize("name", ["extremal", "nearly-parseval", "wide-vectors"])
+    def test_unit_magnitude_residual_within_tolerance(self, name, capsys, tmp_path):
+        from gframes.duals import certified_duals
+        from gframes.io import load_frame
+
+        path = GOLDEN / f"{name}.frame.json"
         code, out, _ = run(capsys, "dual", str(path), "--magnitude", "1", "--seed", "9",
-                           "-o", str(out_path))
+                           "-o", str(tmp_path / "d.json"))
         assert code == 0
         fields = parse_kv(out)
-        assert float(fields["dual_residual"]) <= 1e-8 * 4
-        assert float(fields["distance_to_canonical"]) > 0.1
+        frame = load_frame(path)
+        _, (cert,) = certified_duals(frame, 1.0, [9])
+        # The command checks the dual again; its lines are the builder's certificate, bit for bit.
+        printed = (fields["dual_residual"], fields["dual_tolerance"], fields["dual_passed"])
+        assert printed == (repr(cert.residual), repr(cert.tolerance), repr(cert.passed))
+        assert cert.passed and cert.residual <= 1e-8 * frame.dim_h
+        # A square T has one dual, so the perturbation projects to zero; a wide T leaves room.
+        distance = float(fields["distance_to_canonical"])
+        assert distance > 0.1 if frame.stacked.shape[0] > frame.dim_h else distance < 1e-12
 
     def test_written_dual_verifies(self, capsys, tmp_path):
         from gframes.duals import verify_alternate_dual

@@ -516,19 +516,20 @@ class TestChecksOncePerFamily:
         assert got.checks == want.checks
         canonical = canonical_dual(f).stacked
         of_canonical = [d for d in residual_stacks if len(d) == 1 and np.array_equal(d[0], canonical)]
-        # The canonical dual's residual is formed once, by its postcondition (was 4 times).
-        assert len(of_canonical) == 1
+        # The canonical dual's residual is formed by its postcondition, by the dual-equation-canonical
+        # row and by each of the two canonical decompositions, which check the dual they are given.
+        assert len(of_canonical) == 4
         # Each trial's dual is one slice of one residual stack, its builder's (was 3).
         assert sum(len(d) for d in residual_stacks) - len(of_canonical) == trials
         # Per batch, S' of the companions is formed once, by their postcondition parseval_stack (was twice).
         assert len(companions) == 2 * 3
         assert [sum(t is p for t in gram_inputs) for p in companions] == [1] * len(companions)
 
-    def test_failed_canonical_dual_is_formed_once(self, monkeypatch):
+    def test_failed_canonical_dual_is_formed_anew_by_each_caller(self, monkeypatch):
         # On the kappa(S) = 9e9 frame the canonical dual misses the dual equation
-        # (residual ~8e-7 against 6e-8). Its error is memoized with the frame, so
-        # the three canonical rows and every trial's builder raise it again
-        # instead of forming the dual and its residual anew (was 10 times).
+        # (residual ~8e-7 against 6e-8). No verdict is memoized, so the three
+        # canonical rows, the trials' batch and each of its six one-seed redos
+        # form the dual and its residual anew, and each raises the same error.
         residual_stacks = []
         real = model.dual_residuals
 
@@ -538,7 +539,7 @@ class TestChecksOncePerFamily:
 
         monkeypatch.setattr(model, "dual_residuals", dual_residuals)
         got = run_suite(kappa_frame(), "duals", trials=6, seed=7)
-        assert len(residual_stacks) == 1
+        assert len(residual_stacks) == 10
         errors = [c.name.split(" [error: ") for c in got.checks]
         assert [name for name, _ in errors] == [
             "dual-equation-canonical", "pointwise-dual-canonical-residual", "frobenius-dual-closed-form",
@@ -558,8 +559,8 @@ class TestChecksOncePerFamily:
         monkeypatch.setattr(model, "dual_residuals", dual_residuals)
         got = main(["dual", str(GOLDEN_NEARLY_PARSEVAL), "--magnitude", "1", "--seed", "3"]), capsys.readouterr()
         assert got == want
-        # The canonical dual's postcondition and the random dual's certificate, which the command prints.
-        assert [len(d) for d in residual_stacks] == [1, 1]
+        # The canonical dual's postcondition, the random dual's builder, and the check the command prints.
+        assert [len(d) for d in residual_stacks] == [1, 1, 1]
 
     def test_injected_failures_get_the_builders_errors(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
