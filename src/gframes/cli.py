@@ -17,7 +17,7 @@ from .identities import canonical_dual_gap, parseval_gap
 from .io import load_frame, save_frame, write_frame
 from .linalg import frobenius_norm_sq, trace
 from .model import GFrame, canonical_dual, frame_operator, total_frobenius_energy, validate_frame
-from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_report_json, render_text, run_suite
+from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_text, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
     frame = load_frame(args.path)
     report = run_suite(frame, suite=args.suite, trials=args.trials, seed=args.seed)
     if args.json:
-        print(render_report_json(report))
+        print(render_json(report))
     else:
         print(render_text(report))
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED

@@ -6,10 +6,11 @@ A frame document is JSON of the form
 
 with row-major nested arrays of k rows and n columns per operator. "im" may
 be omitted when the imaginary part is all +0.0. Documents are written as
-json.dump(..., indent=2) writes them, each value as its repr, so a round trip
-reproduces every entry; orjson builds the text. Documents are parsed with
-orjson; json reads only those that orjson or frame_from_dict refuses, to name
-the fault as it always has.
+orjson writes them with OPT_INDENT_2, each value in the shortest digits that
+parse back to it (1e-05 as 0.00001, 1e+16 as 1e16), so a round trip
+reproduces every entry. Documents are parsed with orjson; json reads only
+those that orjson or frame_from_dict refuses, to name the fault as it always
+has.
 """
 
 from __future__ import annotations
@@ -144,44 +145,17 @@ def frame_from_dict(doc) -> GFrame:
     return GFrame.from_stacked(t, counts)
 
 
-def _repr_floats(text: bytes) -> bytes:
-    """text, an orjson dump, with each float orjson spells unlike float.__repr__ respelled by it.
-
-    Both write the shortest digits that round-trip, but orjson writes the
-    exponent forms without "+" and zero padding (1e16, 1.5e-7) and the
-    magnitudes in [1e-5, 1e-4) as plain decimals (0.00001). Every token with
-    an "e" after a digit or a "0.0000" in it is respelled; a plain token
-    caught this way (10.00001) is its own repr.
-    """
-    spans = []
-    for literal in (b"e", b"0.0000"):
-        at = text.find(literal)
-        while at != -1:
-            if literal != b"e" or text[at - 1 : at].isdigit():  # not the "e" of the key "re"
-                # Each entry is alone on its line, after spaces and before "," or "\n".
-                end = text.find(b"\n", at)
-                spans.append((text.rfind(b" ", 0, at) + 1, end - text[end - 1 : end].count(b",")))
-            at = text.find(literal, at + 1)
-    pieces, done = [], 0
-    for start, end in sorted(spans):
-        pieces += [text[done:start], repr(float(text[start:end])).encode()]
-        done = end
-    return b"".join(pieces) + text[done:] if pieces else text
-
-
 def write_frame(f: GFrame, fh) -> None:
-    """Write f to the text stream fh as json.dump(frame_to_dict(f), fh, indent=2) plus a newline.
+    """Write f to the text stream fh as orjson.dumps(frame_to_dict(f), option=OPT_INDENT_2) plus a newline.
 
     Each operator is dumped by orjson, indented to its depth in the document
-    and written at once, with the floats orjson spells unlike json respelled
-    (_repr_floats). json.dump itself runs its pure-Python encoder whenever it
-    indents.
+    and written at once, so no dump of the whole document is held in memory.
     """
     doc = frame_to_dict(f)
     fh.write(f'{{\n  "dim_h": {doc["dim_h"]},\n  "operators": [')
     sep = "\n    "
     for entry in doc["operators"]:
-        text = _repr_floats(orjson.dumps(entry, option=orjson.OPT_INDENT_2))
+        text = orjson.dumps(entry, option=orjson.OPT_INDENT_2)
         fh.write(sep + text.replace(b"\n", b"\n    ").decode())
         sep = ",\n    "
     fh.write("\n  ]\n}\n")

@@ -26,9 +26,17 @@ were rewritten whole: `weighted-energy[trial=j]`, `weighted-energy-spread`,
 `pointwise-dual-identity[trial=j]` and `pointwise-dual-minimality[trial=j]`
 on every frame, and `frobenius-dual-identity[trial=j]` on the
 nearly-Parseval and wide-vectors frames (18, 22 and 22 rows).
+
+The stored files keep the spelling they were written with: repr for frames
+and 17 significant digits for reports. gframe now writes every float as
+orjson does, in the shortest digits that parse back to it, so reports are
+compared after parsing, and the two frames compared byte for byte hold no
+float that orjson spells unlike repr. The text report and the JSON report
+of a frame carry the same doubles, bit for bit.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +113,26 @@ def test_verify_matches_golden_report(name, capsys):
     for g, w in zip(got["checks"], want["checks"]):
         for key in ("lhs", "rhs", "residual", "tolerance"):
             assert close(w[key], g[key], VALUE_TOLERANCE), (w["name"], key, w[key], g[key])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_and_json_reports_carry_the_same_doubles(name, capsys):
+    frame = str(GOLDEN / f"{name}.frame.json")
+    main(["verify", frame] + VERIFY_ARGS[:-1])
+    text = capsys.readouterr().out
+    main(["verify", frame] + VERIFY_ARGS)
+    doc = json.loads(capsys.readouterr().out)
+
+    def bits(x):
+        return np.float64(x).view(np.uint64)
+
+    bounds = re.search(r"^bounds: A=(\S+) B=(\S+) epsilon=(\S+)$", text, re.MULTILINE).groups()
+    summary = doc["frame_summary"]
+    assert list(map(bits, map(float, bounds))) == [bits(summary[key]) for key in ("lower", "upper", "epsilon")]
+    rows = [line for line in text.splitlines() if line.startswith(("  PASS ", "  FAIL "))]
+    assert len(rows) == len(doc["checks"])
+    for line, check in zip(rows, doc["checks"]):
+        tokens = dict(re.findall(r" (lhs|rhs|residual|tolerance)=(\S+)", line))
+        assert list(tokens) == ["lhs", "rhs", "residual", "tolerance"], line
+        for key, token in tokens.items():
+            assert bits(float(token)) == bits(check[key]), (line, key)

@@ -5,6 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from gframes import duals, generators, identities, model, report
@@ -22,7 +23,6 @@ from gframes.report import (
     at_most_check,
     equality_check,
     render_json,
-    render_report_json,
     render_text,
     report_to_dict,
     run_suite,
@@ -52,6 +52,17 @@ def poison_duals(monkeypatch, fails):
         return stack
 
     monkeypatch.setattr(duals, "_perturbed_duals", not_dual)
+
+
+def float_bits(obj):
+    """obj with each float replaced by its bits, so == compares doubles bit for bit."""
+    if isinstance(obj, float):
+        return ("float", np.float64(obj).view(np.uint64).item())
+    if isinstance(obj, dict):
+        return {key: float_bits(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [float_bits(item) for item in obj]
+    return obj
 
 
 def kappa_frame():
@@ -352,7 +363,7 @@ class TestBatchBudget:
                     poison_duals(patched, lambda seed: seed % 2 == 1)
                 else:
                     f = load_frame(GOLDEN / f"{name}.frame.json")
-                return render_report_json(run_suite(f, "all", trials=6, seed=11))
+                return render_json(run_suite(f, "all", trials=6, seed=11))
 
         default = report_json()
         assert report_json(items=1) == default  # one companion or dual per batch
@@ -600,8 +611,27 @@ class TestChecksOncePerFamily:
 
 class TestRendering:
     def test_json_floats_shortest_or_17_digits(self):
-        text = render_json({"value": 1.0 / 3.0})
-        assert "0.33333333333333331" in text
+        # Floats are spelled as orjson spells them: the shortest digits that parse back to each.
+        doc = {"value": 1.0 / 3.0, "small": 1e-05, "large": 1e16, "zero": 0.0, "sub": -5e-324}
+        text = render_json(doc)
+        assert text == orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode()
+        assert float_bits(json.loads(text)) == float_bits(doc)
+
+    def test_rows_hold_builtin_floats_and_bools(self):
+        x = np.float64
+        rows = [
+            equality_check("equal", x(1.0), x(1.0) + x(1e-12), x(1e-9)),
+            at_most_check("at-most", x(2.0), x(1.0), x(0.5)),
+            at_least_check("at-least", x(0.5), x(1.0), x(1.0)),
+        ]
+        for c in rows:
+            assert [type(v) for v in (c.lhs, c.rhs, c.residual, c.tolerance, c.passed)] == [float] * 4 + [bool]
+        assert [c.passed for c in rows] == [True, False, True]
+        r = VerificationReport(frame_summary={"dim_h": 1, "counts": [1], "lower": 0.5, "upper": 1.5, "epsilon": 0.5},
+                               checks=rows, overall=False)
+        text = render_text(r)
+        assert "np." not in text and "lhs=2.0 rhs=1.0 residual=1.0 tolerance=0.5" in text
+        assert float_bits(json.loads(render_json(r))) == float_bits(report_to_dict(r))
 
     def test_json_parses_back(self):
         f = extremal_frame(2, 0.19)
@@ -626,7 +656,10 @@ class TestRendering:
             f = load_frame(GOLDEN / f"{name}.frame.json")
         for trials in (0, 4):
             r = run_suite(f, "all", trials=trials, seed=7)
-            assert render_report_json(r) == render_json(report_to_dict(r))
+            doc, text = report_to_dict(r), render_json(r)
+            assert text == render_json(doc)
+            assert text == orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode()
+            assert float_bits(json.loads(text)) == float_bits(doc)
         if name == "nearly-parseval-1e8":
             assert any("[error: " in c.name for c in r.checks)
 
@@ -636,8 +669,8 @@ class TestRendering:
         for checks in ([], [CheckResult(name, 1.0 / 3.0, -0.0, 5e-324, 1e300, False),
                             CheckResult("plain", 1.0, 1.0, 0.0, 1e-9, True)]):
             r = VerificationReport(frame_summary=summary, checks=checks, overall=not checks)
-            assert render_report_json(r) == render_json(report_to_dict(r))
-        assert json.loads(render_report_json(r))["checks"][0]["name"] == name
+            assert render_json(r) == render_json(report_to_dict(r))
+        assert json.loads(render_json(r))["checks"][0]["name"] == name
 
     @pytest.mark.parametrize("field", ["lhs", "rhs", "residual", "tolerance"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -648,8 +681,15 @@ class TestRendering:
         with pytest.raises(ValueError) as before:
             render_json(report_to_dict(r))
         with pytest.raises(ValueError) as now:
-            render_report_json(r)
+            render_json(r)
         assert str(now.value) == str(before.value)
+
+    def test_non_finite_report_exits_2(self, monkeypatch, capsys):
+        summary = {"dim_h": 1, "counts": [1], "lower": 0.5, "upper": 1.5, "epsilon": 0.5}
+        rows = [CheckResult("x", 1.0, float("-inf"), float("inf"), 1.0, False)]
+        monkeypatch.setattr("gframes.cli.run_suite", lambda *args, **kwargs: VerificationReport(summary, rows, False))
+        assert main(["verify", str(GOLDEN / "extremal.frame.json"), "--json"]) == 2
+        assert capsys.readouterr() == ("", "error: non-finite value in report: -inf\n")
 
     def test_text_has_status_per_row(self):
         report = run_suite(extremal_frame(2, 0.1), "bounds", trials=1, seed=0)
