@@ -5,8 +5,8 @@ A frame document is JSON of the form
     {"dim_h": n, "operators": [{"rows": k, "re": [[...]], "im": [[...]]}, ...]}
 
 with row-major nested arrays of k rows and n columns per operator. "im" may
-be omitted when the imaginary part is all +0.0. Documents are written as
-orjson writes them with OPT_INDENT_2, each value in the shortest digits that
+be omitted when the imaginary part is all +0.0. A document is written as
+one orjson dump with OPT_INDENT_2, each value in the shortest digits that
 parse back to it (1e-05 as 0.00001, 1e+16 as 1e16), so a round trip
 reproduces every entry. Documents are parsed with orjson; json reads only
 those that orjson or frame_from_dict refuses, to name the fault as it always
@@ -28,12 +28,11 @@ from .errors import FrameFormatError
 from .model import GFrame
 
 
-def frame_to_dict(f: GFrame) -> dict:
-    t, starts, ends = f.stacked, f.offsets[:-1], f.offsets[1:]
-    re, im = t.real.tolist(), t.imag.tolist()
-    # "im" is omitted only when every imaginary entry is +0.0 (all bits zero),
-    # so a -0.0 survives the round trip.
-    nonzero_bits = t.imag.view(np.uint64).any(axis=1)
+def _document(f: GFrame, re, im) -> dict:
+    """The interchange document of f, with operator i's "re" and "im" the row slices of re and im (lists or arrays)."""
+    starts, ends = f.offsets[:-1], f.offsets[1:]
+    # "im" is omitted only when every imaginary entry is +0.0 (all bits zero), so a -0.0 survives.
+    nonzero_bits = f.stacked.imag.view(np.uint64).any(axis=1)
     has_im = np.logical_or.reduceat(nonzero_bits, starts).tolist()
     operators = []
     for start, end, complex_block in zip(starts, ends, has_im):
@@ -42,6 +41,10 @@ def frame_to_dict(f: GFrame) -> dict:
             entry["im"] = im[start:end]
         operators.append(entry)
     return {"dim_h": f.dim_h, "operators": operators}
+
+
+def frame_to_dict(f: GFrame) -> dict:
+    return _document(f, f.stacked.real.tolist(), f.stacked.imag.tolist())
 
 
 def _checked_grid(value, rows: int, cols: int, where: str) -> list:
@@ -145,25 +148,21 @@ def frame_from_dict(doc) -> GFrame:
     return GFrame.from_stacked(t, counts)
 
 
-def write_frame(f: GFrame, fh) -> None:
-    """Write f to the text stream fh as orjson.dumps(frame_to_dict(f), option=OPT_INDENT_2) plus a newline.
+def _frame_json(f: GFrame) -> bytes:
+    """frame_to_dict(f) as orjson's OPT_INDENT_2 text plus a newline, in one dump of f's own float64 arrays."""
+    doc = _document(f, np.ascontiguousarray(f.stacked.real), np.ascontiguousarray(f.stacked.imag))
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
 
-    Each operator is dumped by orjson, indented to its depth in the document
-    and written at once, so no dump of the whole document is held in memory.
-    """
-    doc = frame_to_dict(f)
-    fh.write(f'{{\n  "dim_h": {doc["dim_h"]},\n  "operators": [')
-    sep = "\n    "
-    for entry in doc["operators"]:
-        text = orjson.dumps(entry, option=orjson.OPT_INDENT_2)
-        fh.write(sep + text.replace(b"\n", b"\n    ").decode())
-        sep = ",\n    "
-    fh.write("\n  ]\n}\n")
+
+def write_frame(f: GFrame, fh) -> None:
+    """Write f to the text stream fh as orjson.dumps(frame_to_dict(f), option=OPT_INDENT_2) plus a newline."""
+    fh.write(_frame_json(f).decode())
 
 
 def save_frame(f: GFrame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_frame(f, fh)
+    data = _frame_json(f)  # dumped before the open, so a failed dump leaves the file as it was
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # orjson builds the objects of a parsed document recursively on the C stack,

@@ -2,13 +2,14 @@
 
 The stream is the counter-based Philox 4x64 generator keyed directly by the
 user seed, so a (seed, substream) pair identifies the draws exactly.
-Substream r is the base stream jumped r times. Gaussian variates are numpy's
-Generator.standard_normal on that stream, taken in order: a draw of m normals
-followed by a draw of k equals one draw of m + k. A complex Gaussian block of
-rows x cols takes 2·rows·cols consecutive normals viewed as complex128, so
-each entry's real part is drawn just before its imaginary part; a family of
-blocks draws them in order. numpy may change standard_normal between releases
-(NEP 19), so a seed pins the draws within one numpy build.
+Substream r starts at counter r·2**128, as the base stream jumped r times.
+Gaussian variates are numpy's Generator.standard_normal on that stream,
+taken in order: a draw of m normals followed by a draw of k equals one draw
+of m + k. A complex Gaussian block of rows x cols takes 2·rows·cols
+consecutive normals viewed as complex128, so each entry's real part is drawn
+just before its imaginary part; a family of blocks draws them in order.
+numpy may change standard_normal between releases (NEP 19), so a seed pins
+the draws within one numpy build.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
         raise ValueError(f"seed must be below 2**128, got {seed}")
     if substream < 0:
         raise ValueError(f"substream must be non-negative, got {substream}")
-    bits = np.random.Philox(key=seed)
-    if substream:
-        bits = bits.jumped(substream)
-    return np.random.Generator(bits)
+    if substream >= 1 << 128:  # substream r starts at r·2**128 on Philox's 256-bit counter
+        raise ValueError(f"substream must be below 2**128, got {substream}")
+    return np.random.Generator(np.random.Philox(key=seed, counter=substream << 128))
 
 
 def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:

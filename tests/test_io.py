@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -167,14 +167,14 @@ ENTRIES = st.one_of(
 
 
 @st.composite
-def frames(draw, max_operators=300):
-    """Frames mixing one-row and multi-row operators, each either real or complex."""
+def frames(draw, max_operators=300, elements=ENTRIES):
+    """Frames mixing one-row and multi-row operators, each either real or complex, with entries drawn from elements."""
     n = draw(st.integers(min_value=1, max_value=4))
     size = draw(st.integers(min_value=1, max_value=max_operators))
     counts = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=size, max_size=size))
     shape = (sum(counts), n)
-    t = draw(arrays(np.float64, shape, elements=ENTRIES)).astype(np.complex128)
-    t.imag = draw(arrays(np.float64, shape, elements=ENTRIES))
+    t = draw(arrays(np.float64, shape, elements=elements)).astype(np.complex128)
+    t.imag = draw(arrays(np.float64, shape, elements=elements))
     row = 0
     for k in counts:
         if draw(st.booleans()):
@@ -432,14 +432,36 @@ def test_every_entry_is_spelled_as_repr(data, n, rows):
     assert np.array_equal(np.array(list(map(float, tokens))).view(np.uint64), np.array(written).view(np.uint64))
 
 
-def test_saved_file_is_the_utf8_of_the_written_text(tmp_path):
+def scaled_nearly_parseval():
     f = nearly_parseval_gframe(6, (3, 3, 3), 0.3, seed=5)
-    t = f.stacked * np.array([1.0, 1e-5, 1e16, -1.5e-7, 1e-300, 5e-324])
-    f = GFrame.from_stacked(t, f.counts)
+    return GFrame.from_stacked(f.stacked * np.array([1.0, 1e-5, 1e16, -1.5e-7, 1e-300, 5e-324]), f.counts)
+
+
+@settings(deadline=None, max_examples=30)
+@given(f=frames(max_operators=30, elements=BIT_ENTRIES))
+@example(f=scaled_nearly_parseval())
+def test_saved_file_is_the_utf8_of_the_written_text(f, tmp_path_factory):
+    # The file, the text on a stream and the dump of the document of lists are the same bytes.
     buf = io.StringIO()
     write_frame(f, buf)
-    save_frame(f, tmp_path / "f.json")
-    assert (tmp_path / "f.json").read_bytes() == buf.getvalue().encode("utf-8")
+    path = tmp_path_factory.mktemp("frame") / "f.json"
+    save_frame(f, path)
+    data = path.read_bytes()
+    assert data == buf.getvalue().encode("utf-8")
+    assert data == orjson.dumps(frame_to_dict(f), option=orjson.OPT_INDENT_2) + b"\n"
+
+
+def test_failed_dump_leaves_the_saved_file_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"an earlier frame\n")
+
+    def refuse(*args, **kwargs):
+        raise orjson.JSONEncodeError("refused")
+
+    monkeypatch.setattr(orjson, "dumps", refuse)
+    with pytest.raises(orjson.JSONEncodeError, match="refused"):
+        save_frame(random_gframe(2, (1, 2), seed=3), path)
+    assert path.read_bytes() == b"an earlier frame\n"
 
 
 def operator_doc(rows="1", dim_h="2", entry="0.5"):

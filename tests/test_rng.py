@@ -1,6 +1,7 @@
 """Seeded draws: numpy's standard normals on the Philox stream, taken in order, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,3 +67,25 @@ def test_complex_parts_are_standard_and_uncorrelated():
         assert abs(part.mean()) <= 5.0 * error
         assert abs((part**2).mean() - 1.0) <= 5.0 * np.sqrt(2.0) * error
     assert abs((z.real * z.imag).mean()) <= 5.0 * error
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7, 2**127 + 3])
+@pytest.mark.parametrize("substream", [1, 2, 3, 15, 2**40])
+def test_substream_is_the_base_stream_jumped(seed, substream):
+    # Substream r starts where Philox.jumped(r) puts the base stream: the same state and draws.
+    jumped = np.random.Philox(key=seed).jumped(substream)
+    gen = stream(seed, substream)
+    want, got = jumped.state, gen.bit_generator.state
+    assert set(got) == set(want)
+    for key in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+        assert got[key] == want[key]
+    for key in ("counter", "key"):
+        assert np.array_equal(got["state"][key], want["state"][key])
+    assert np.array_equal(got["buffer"], want["buffer"])
+    assert same_bits(gen.standard_normal(1000), np.random.Generator(jumped).standard_normal(1000))
+
+
+def test_substream_beyond_the_counter_is_refused():
+    stream(7, 2**128 - 1)
+    with pytest.raises(ValueError, match=r"^substream must be below 2\*\*128, got 340282366920938463463374607431768211456$"):
+        stream(7, 2**128)
