@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     except NotAFrameError as exc:
         print(f"error: {exc} (lambda_min = {exc.lambda_min!r})", file=sys.stderr)
         return EXIT_NOT_A_FRAME
-    except (GFrameError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GFrameError, ValueError, OSError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

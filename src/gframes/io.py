@@ -8,17 +8,14 @@ with row-major nested arrays of k rows and n columns per operator. "im" may
 be omitted when the imaginary part is all +0.0. A document is written as
 one orjson dump with OPT_INDENT_2, each value in the shortest digits that
 parse back to it (1e-05 as 0.00001, 1e+16 as 1e16), so a round trip
-reproduces every entry. Documents are parsed with orjson; json reads only
-those that orjson or frame_from_dict refuses, to name the fault as it always
-has.
+reproduces every entry. Documents are parsed with orjson alone: RFC 8259
+JSON, numbers within the double range, nesting at most MAX_ORJSON_DEPTH deep.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from io import BytesIO, TextIOWrapper
 from itertools import chain, compress, repeat
 
 import numpy as np
@@ -168,7 +165,7 @@ def save_frame(f: GFrame, path) -> None:
 # orjson builds the objects of a parsed document recursively on the C stack,
 # with no depth limit: on x86-64 Linux (orjson 3.8, CPython 3.11) 150k levels
 # overflowed the 8 MiB main thread and 5k levels a 256 KiB thread. Deeper
-# documents go to json, which refuses those beyond the recursion limit (~1000).
+# documents are refused before orjson sees them.
 MAX_ORJSON_DEPTH = 512
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
@@ -184,43 +181,20 @@ def _nesting_depth(data: bytes) -> int:
     return int(_DEPTH_STEP[np.frombuffer(brackets, dtype=np.uint8)].cumsum().max(initial=0))
 
 
-def _orjson_document(data: bytes):
-    """orjson's parse of data; None when orjson refuses it or it nests too deeply for orjson."""
-    # orjson parses the whole text before it builds any object, so a document
-    # it would refuse cannot overflow the stack; only valid JSON is measured.
-    if _nesting_depth(data) > MAX_ORJSON_DEPTH:
-        return None
-    try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError:
-        return None
-
-
 def load_frame(path) -> GFrame:
-    """The frame of the document at path; FrameFormatError names its first fault as json reads it.
-
-    The file is read once and parsed with orjson. When orjson refuses the
-    document, or frame_from_dict refuses orjson's result, json parses the same
-    bytes as UTF-8 text with universal newlines, as open(path) reads them, and
-    raises the error (or loads the document) as this reader always has. The
-    two parsers return the same objects, except where orjson refuses the text
-    (NaN, Infinity, numbers beyond the double range, lone surrogates) or reads
-    an integer beyond 64 bits, which it gives as the double the integer rounds to.
-    """
+    """The frame of the document at path, read once and parsed with orjson; FrameFormatError names a fault."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = _orjson_document(data)
-    if doc is not None:
-        try:
-            return frame_from_dict(doc)
-        except FrameFormatError:
-            pass
+    # The depth is exact only for valid JSON; orjson parses the whole text before
+    # it builds any object, so a document it refuses cannot overflow the stack.
+    if _nesting_depth(data) > MAX_ORJSON_DEPTH:
+        raise FrameFormatError(f"JSON in {path} is nested too deeply to read")
     try:
-        doc = json.load(TextIOWrapper(BytesIO(data), encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        try:
+            data.decode("utf-8")  # orjson names invalid UTF-8 as a surrogate fault
+        except UnicodeDecodeError as utf8_exc:
+            raise FrameFormatError(f"{path} is not UTF-8 text: {utf8_exc}") from utf8_exc
         raise FrameFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FrameFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    except RecursionError:
-        raise FrameFormatError(f"JSON in {path} is nested too deeply to read") from None
     return frame_from_dict(doc)

@@ -155,9 +155,9 @@ class TestAnalyze:
     def test_integer_beyond_double_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "big-int.json"
         path.write_text('{"dim_h": 2, "operators": [{"rows": 1, "re": [[0, 1' + "0" * 400 + "]]}]}")
-        code, _, err = run(capsys, "analyze", str(path))
-        assert code == 2
-        assert "operators[0].re[0][1] is too large for a double" in err
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid JSON in {path}: number is infinity when parsed as double: line 1 column 51 (char 50)\n"
 
     def test_overflowing_frame_operator_exits_2(self, capsys, tmp_path):
         path = tmp_path / "large.json"
@@ -406,6 +406,19 @@ class TestGenArguments:
         code, out, err = run(capsys, "gen", "extremal", "--n", "1000000000", "--epsilon", "0.1")
         assert (code, out) == (2, "")
         assert err.startswith("error: Unable to allocate")
+
+    @pytest.mark.parametrize("kind", ["random", "parseval", "nearly-parseval"])
+    def test_operator_count_beyond_the_index_range_exits_2(self, kind, capsys):
+        # Without --counts, gen draws 2n one-row operators; 2n = 2**63 is no tuple length.
+        code, out, err = run(capsys, "gen", kind, "--n", "4611686018427387904", "--epsilon", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+    def test_operator_count_too_large_to_allocate_names_the_error(self, capsys):
+        # 2n = 2**63 - 2 fits an index, but Python refuses the tuple with an empty MemoryError.
+        code, out, err = run(capsys, "gen", "random", "--n", "4611686018427387903")
+        assert (code, out) == (2, "")
+        assert err == "error: MemoryError\n"
 
     def test_verify_rejects_negative_trials(self, capsys, tmp_path):
         path = tmp_path / "e.json"

@@ -488,71 +488,128 @@ MALFORMED = {
 }
 
 
+# The message each MALFORMED document is refused with: orjson's text where it refuses the bytes,
+# frame_from_dict's where it refuses orjson's document (orjson reads 2**64 as a float).
+MALFORMED_MESSAGES = {
+    "empty file": "invalid JSON in {path}: input length is 0: line 1 column 1 (char 0)",
+    "null": "frame document must be a JSON object",
+    "top-level array": "frame document must be a JSON object",
+    "NaN entry": "invalid JSON in {path}: unexpected character: line 1 column 53 (char 52)",
+    "Infinity entry": "invalid JSON in {path}: unexpected character: line 1 column 53 (char 52)",
+    "1e400 entry": "invalid JSON in {path}: number is infinity when parsed as double: line 1 column 53 (char 52)",
+    "10**400 entry": "invalid JSON in {path}: number is infinity when parsed as double: line 1 column 53 (char 52)",
+    "2**64 dim_h": "dim_h must be a positive integer",
+    "2**64 rows": "operators[0].rows must be a positive integer",
+    "12.0 rows": "operators[0].rows must be a positive integer",
+    "trailing comma": "invalid JSON in {path}: trailing comma is not allowed: line 1 column 59 (char 58)",
+    "leading zero": "invalid JSON in {path}: number with leading zero is not allowed: line 1 column 53 (char 52)",
+    "UTF-8 BOM": "invalid JSON in {path}: byte order mark (BOM) is not supported: line 1 column 1 (char 0)",
+    "invalid UTF-8": "{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte",
+    "CRLF syntax error on line 3": "invalid JSON in {path}: unexpected character: line 3 column 28 (char 45)",
+    "100000-deep nesting": "JSON in {path} is nested too deeply to read",
+}
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_documents_fail_as_json_fails(name, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(MALFORMED[name])
-    with pytest.raises(FrameFormatError) as want:
-        json_route(path)
     with pytest.raises(FrameFormatError) as got:
         load_frame(path)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == MALFORMED_MESSAGES[name].format(path=path)
     assert main(["analyze", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+    assert capsys.readouterr() == ("", f"error: {got.value}\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("name", ["NaN entry", "2**64 rows"])
+@pytest.mark.parametrize("name", ["NaN entry", "2**64 rows", "UTF-8 BOM", "invalid UTF-8"])
 def test_malformed_document_from_a_pipe_is_named(name, tmp_path):
-    # A pipe cannot be read twice: json must name the fault from the bytes orjson was given.
+    # A pipe cannot be read twice: the fault is named from the bytes read once, as for a file.
     path = tmp_path / "bad.json"
     path.write_bytes(MALFORMED[name])
-    with pytest.raises(FrameFormatError) as want:
-        json_route(path)
+    with pytest.raises(FrameFormatError) as from_file:
+        load_frame(path)
     read_end, write_end = os.pipe()
     os.write(write_end, MALFORMED[name])
     os.close(write_end)
+    pipe = f"/dev/fd/{read_end}"
     try:
-        with pytest.raises(FrameFormatError) as got:
-            load_frame(f"/dev/fd/{read_end}")
+        with pytest.raises(FrameFormatError) as from_pipe:
+            load_frame(pipe)
     finally:
         os.close(read_end)
-    assert str(got.value) == str(want.value)
+    assert str(from_pipe.value) == str(from_file.value).replace(str(path), pipe)
 
 
 def nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-@pytest.mark.parametrize("depth", [4, frame_io.MAX_ORJSON_DEPTH, frame_io.MAX_ORJSON_DEPTH + 1, 700])
+def with_note(note: str) -> str:
+    """operator_doc() with an unknown key "note" holding the JSON text note."""
+    return operator_doc().decode()[:-1] + f', "note": {note}}}'
+
+
+@pytest.mark.parametrize("depth", [4, frame_io.MAX_ORJSON_DEPTH])
 def test_unknown_keys_nested_within_the_recursion_limit_load(depth, tmp_path):
-    # Up to MAX_ORJSON_DEPTH orjson reads the document, deeper json does; both load it.
+    # orjson reads a document nested up to MAX_ORJSON_DEPTH deep.
     path = tmp_path / "frame.json"
-    path.write_text(operator_doc().decode()[:-1] + f', "note": {nested(depth - 1)}}}')
+    path.write_text(with_note(nested(depth - 1)))
     assert np.array_equal(load_frame(path).stacked, json_route(path).stacked)
+
+
+@pytest.mark.parametrize("depth", [frame_io.MAX_ORJSON_DEPTH + 1, 700])
+def test_unknown_keys_nested_beyond_max_orjson_depth_are_refused(depth, tmp_path):
+    # Refused before orjson parses them, although json reads those within its recursion limit (~1000).
+    path = tmp_path / "frame.json"
+    path.write_text(with_note(nested(depth - 1)))
+    with pytest.raises(FrameFormatError) as exc:
+        load_frame(path)
+    assert str(exc.value) == f"JSON in {path} is nested too deeply to read"
 
 
 def test_unknown_key_nested_beyond_the_recursion_limit_is_refused(tmp_path):
-    # No loosening: json still reads any document nested deeper than MAX_ORJSON_DEPTH.
+    # Beyond json's recursion limit too: no depth past MAX_ORJSON_DEPTH loads.
     path = tmp_path / "frame.json"
-    path.write_text(operator_doc().decode()[:-1] + f', "note": {nested(5000)}}}')
-    with pytest.raises(FrameFormatError, match=r"is nested too deeply to read$"):
+    path.write_text(with_note(nested(5000)))
+    with pytest.raises(FrameFormatError) as exc:
         load_frame(path)
+    assert str(exc.value) == f"JSON in {path} is nested too deeply to read"
 
 
-def test_lone_surrogate_in_an_unknown_key_loads(tmp_path):
-    # orjson refuses a lone surrogate escape; json, the fallback, reads it as it always has.
+def assert_refused_by_orjson(path, message, capsys):
+    """load_frame and analyze refuse path with orjson's message, although json reads it as the note-free document."""
+    assert np.array_equal(json_route(path).stacked, frame_from_dict(json.loads(operator_doc())).stacked)
+    with pytest.raises(FrameFormatError) as exc:
+        load_frame(path)
+    assert str(exc.value) == f"invalid JSON in {path}: {message}"
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_lone_surrogate_in_an_unknown_key_is_refused(tmp_path, capsys):
     path = tmp_path / "frame.json"
-    path.write_text(operator_doc().decode()[:-1] + ', "note": "\\ud800"}')
-    with pytest.raises(orjson.JSONDecodeError):
-        orjson.loads(path.read_bytes())
-    assert np.array_equal(load_frame(path).stacked, json_route(path).stacked)
+    path.write_text(with_note('"\\ud800"'))
+    assert_refused_by_orjson(path, "no matched low surrogate in string: line 1 column 77 (char 76)", capsys)
+
+
+@pytest.mark.parametrize(
+    "note, message",
+    [
+        ("NaN", "unexpected character: line 1 column 70 (char 69)"),
+        ("Infinity", "unexpected character: line 1 column 70 (char 69)"),
+        ("1e400", "number is infinity when parsed as double: line 1 column 70 (char 69)"),
+    ],
+)
+def test_non_finite_number_in_an_unknown_key_is_refused(note, message, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text(with_note(note))
+    assert_refused_by_orjson(path, message, capsys)
 
 
 def test_nesting_that_overflows_orjson_exits_2(tmp_path):
-    # A million levels overflow the C stack of orjson's object builder (a crash,
-    # so the command runs in its own process); json refuses them with an error.
+    # A million levels would overflow the C stack of orjson's object builder (a
+    # crash, so the command runs in its own process); the depth guard refuses them.
     path = tmp_path / "deep.json"
     path.write_text(nested(1_000_000))
     env = dict(os.environ, PYTHONPATH=str(Path(gframes.__file__).parents[1]))
@@ -560,6 +617,58 @@ def test_nesting_that_overflows_orjson_exits_2(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: JSON in {path} is nested too deeply to read\n"
+
+
+def written_document(f: GFrame) -> bytes:
+    buf = io.StringIO()
+    write_frame(f, buf)
+    return buf.getvalue().encode()
+
+
+# Small valid documents to mutate: as write_frame writes them (one complex operator, one real),
+# and compact, with an unknown key that holds escapes and nesting.
+FUZZ_SEEDS = [
+    written_document(GFrame.from_stacked(np.array([[0.5 - 1e-5j, -0.0], [1e16, 3.0 + 2.5j]]), (1, 1))),
+    written_document(random_gframe(2, (2,), seed=3)),
+    with_note('{"a": ["\\u00e9\\"", [1, -2.5e-3]], "b": null}').encode(),
+]
+# Bytes that JSON gives meaning to, made likely among all 256.
+FUZZ_BYTES = st.one_of(st.sampled_from(b'[]{}",:-+.eE0159 \r\n\\ntuafl'), st.integers(min_value=0, max_value=255))
+
+
+@st.composite
+def mutated_documents(draw) -> bytes:
+    """A FUZZ_SEEDS document with 1 to 4 bytes flipped, inserted or deleted, or its tail cut off (never to empty)."""
+    data = bytearray(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        at = draw(st.integers(min_value=0, max_value=max(len(data) - 1, 0)))
+        if kind == "insert":
+            data.insert(at, draw(FUZZ_BYTES))
+        elif not data:
+            continue
+        elif kind == "flip":
+            data[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        elif kind == "delete":
+            del data[at]
+        else:
+            del data[at + 1:]
+    return bytes(data)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=mutated_documents())
+def test_mutated_documents_load_as_json_reads_them_or_are_refused(data, tmp_path_factory):
+    # Every document that loads, loads as json reads it; any other is a FrameFormatError.
+    path = tmp_path_factory.mktemp("fuzz") / "frame.json"
+    path.write_bytes(data)
+    try:
+        got = load_frame(path)
+    except FrameFormatError:
+        return
+    want = json_route(path)
+    assert got.counts == want.counts
+    assert np.array_equal(got.stacked.view(np.uint64), want.stacked.view(np.uint64))
 
 
 JSON_VALUES = st.recursive(
