@@ -8,9 +8,7 @@ from .errors import (
     GFrameError,
     NotADualError,
     NotAFrameError,
-    NotHermitianError,
     NotParsevalError,
-    NotPositiveDefiniteError,
     PostconditionError,
 )
 from .linalg import (
@@ -18,9 +16,6 @@ from .linalg import (
     HermitianEigen,
     frobenius_norm,
     frobenius_norm_sq,
-    hermitian_eig,
-    matrix_power,
-    matrix_power_eig,
     trace,
 )
 from .model import (

@@ -7,24 +7,12 @@ class GFrameError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NotHermitianError(GFrameError):
-    """Input matrix deviates from its adjoint beyond the admissible tolerance."""
-
-
 class ConvergenceError(GFrameError):
     """LAPACK's Hermitian eigensolver reported that it did not converge."""
 
 
 class FrameOverflowError(GFrameError):
     """S = T* T, a power of S, a spectral gap or a dual perturbation overflows double precision."""
-
-
-class NotPositiveDefiniteError(GFrameError):
-    """Matrix power requested on a matrix that is not safely positive definite."""
-
-    def __init__(self, message: str, lambda_min: float):
-        super().__init__(message)
-        self.lambda_min = lambda_min
 
 
 class NotAFrameError(GFrameError):

@@ -174,10 +174,13 @@ _DEPTH_STEP[list(b"]}")] = -1
 
 
 def _nesting_depth(data: bytes) -> int:
-    """The deepest nesting of arrays and objects in data, when data is valid JSON."""
+    """The deepest nesting of arrays and objects in data outside its strings; exact for valid JSON.
+
+    The tail of a string left open is not counted: orjson refuses such a document.
+    """
     if b"\\" in data:
         data = re.sub(rb"\\.", b"", data, flags=re.DOTALL)  # escapes, so no '"' is escaped
-    brackets = re.sub(rb'"[^"]*"', b"", data.translate(None, _NOT_STRUCTURE))
+    brackets = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])  # the runs outside strings
     return int(_DEPTH_STEP[np.frombuffer(brackets, dtype=np.uint8)].cumsum().max(initial=0))
 
 

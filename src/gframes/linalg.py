@@ -1,9 +1,10 @@
 """Dense complex matrix arithmetic and a Hermitian eigensolver.
 
 Matrices are numpy arrays with dtype complex128 (one 64-bit float per real
-and imaginary part). The eigensolver is LAPACK's Hermitian driver, reached
-through numpy.linalg.eigh, behind input checks (finite, square, Hermitian to
-a relative tolerance) and a stable sort into non-increasing order.
+and imaginary part). The eigensolver (LAPACK's, through numpy.linalg.eigh)
+and the fractional power serve model.FrameOperator, the one route to a
+decomposition or a power of S, and check nothing; FrameOperator gates the
+rank (full_rank) before any power.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NotHermitianError, NotPositiveDefiniteError
+from .errors import ConvergenceError
 
 # lambda_min must exceed RANK_TOLERANCE * lambda_max for powers/inverses.
 RANK_TOLERANCE = 1e-10
-# Admissible input asymmetry, relative to 1 + ||M||_F.
-HERMITIAN_INPUT_TOLERANCE = 1e-8
 
 
 def as_matrix(value, name: str = "matrix", require_finite: bool = False) -> np.ndarray:
@@ -76,46 +75,16 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def _require_hermitian(a: np.ndarray) -> None:
-    """Raise NotHermitianError unless the square matrix `a` is Hermitian.
+def hermitian_eig(m) -> HermitianEigen:
+    """Eigendecomposition of S for FrameOperator by LAPACK (numpy.linalg.eigh); checks nothing.
 
-    The criterion ||M - M*||_F > tol * (1 + ||M||_F) is evaluated on M / s
-    with s = max |m_ij|, so squaring the entries can neither overflow nor
-    flush the largest of them to zero. A matrix whose s is zero or subnormal
-    is divided by 1 instead, since 1 / s would overflow; its ||M - M*||_F,
-    at most 2n * s, is then far below the tolerance, and it passes.
-    """
-    scale = float(np.abs(a).max())
-    divisor = scale if scale >= np.finfo(np.float64).tiny else 1.0
-    unit = a / divisor
-    norm = frobenius_norm(unit)
-    asym = frobenius_norm(unit - unit.conj().T)
-    if asym > HERMITIAN_INPUT_TOLERANCE * (1.0 / divisor + norm):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: ||M - M*||_F = {asym * scale:.3e} "
-            f"exceeds {HERMITIAN_INPUT_TOLERANCE:.0e} * (1 + ||M||_F)"
-        )
-
-
-def hermitian_eig(m, *, check: bool = True) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
-
-    The input must be square and finite. Asymmetry beyond
-    HERMITIAN_INPUT_TOLERANCE * (1 + ||M||_F) is rejected; the rest is removed
-    by symmetrizing to (M + M*)/2. Eigenvalues come back non-increasing; a
-    stable sort keeps the solver's order inside blocks of equal eigenvalues.
-    Raises ConvergenceError if LAPACK reports that it did not converge.
-
-    check=False skips the input checks, for an S = T* T from model.frame_matrices:
-    finite, as that function checked, and Hermitian by construction.
+    S = T* T comes from model.frame_matrices, finite and Hermitian by
+    construction; symmetrizing to (S + S*)/2 removes rounding asymmetry.
+    Eigenvalues come back non-increasing; a stable sort keeps the solver's
+    order inside blocks of equal eigenvalues. Raises ConvergenceError if
+    LAPACK reports that it did not converge.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if check:
-        a = as_matrix(a, "m", require_finite=True)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
-        _require_hermitian(a)
-
     try:
         # Halving each term first keeps the sum finite for entries up to the double maximum.
         w, vec = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
@@ -135,18 +104,6 @@ def full_rank(eigenvalues: np.ndarray) -> bool:
 
 
 def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:
-    """U diag(lambda^a) U* from a precomputed decomposition; gates on positive definiteness."""
-    lam = eig.eigenvalues
-    if not full_rank(lam):
-        raise NotPositiveDefiniteError(
-            f"matrix power needs lambda_min > {RANK_TOLERANCE:.0e} * lambda_max; "
-            f"got lambda_min = {float(lam[-1]):.6e}, lambda_max = {float(lam[0]):.6e}",
-            lambda_min=float(lam[-1]),
-        )
+    """U diag(lambda^a) U* for FrameOperator.power, which gates the rank first; checks nothing."""
     u = eig.eigenvectors
-    return (u * np.power(lam, a)) @ u.conj().T
-
-
-def matrix_power(m, a: float) -> np.ndarray:
-    """Fractional power of a Hermitian positive definite matrix."""
-    return matrix_power_eig(hermitian_eig(m), a)
+    return (u * np.power(eig.eigenvalues, a)) @ u.conj().T

@@ -128,11 +128,11 @@ class GFrame:
 
 
 class FrameOperator:
-    """The n x n matrix S of one frame.
+    """The n x n matrix S of one frame: the one route to its eigendecomposition and powers.
 
     The eigendecomposition, the rank gate, the bounds and the powers are
-    computed on first use. `matrix` comes from frame_matrices, so
-    hermitian_eig skips its input checks.
+    computed on first use. `matrix` is S as frame_matrices forms it: finite
+    and Hermitian by construction, so nothing checks it again.
     """
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
@@ -146,7 +146,7 @@ class FrameOperator:
     @property
     def eig(self) -> HermitianEigen:
         if self._eig is None:
-            self._eig = hermitian_eig(self.matrix, check=False)
+            self._eig = hermitian_eig(self.matrix)
         return self._eig
 
     @property
@@ -182,7 +182,7 @@ class FrameOperator:
         """
         cached = self._powers.get(a)
         if cached is None:
-            self.require_frame()  # the frame gate, ahead of the power's own
+            self.require_frame()
             with np.errstate(over="ignore", invalid="ignore"):
                 cached = matrix_power_eig(self.eig, a)
             if not np.isfinite(cached).all():

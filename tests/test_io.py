@@ -485,6 +485,7 @@ MALFORMED = {
     "invalid UTF-8": b'{"dim_h": 2, "note": "caf\xe9", "operators": []}',
     "CRLF syntax error on line 3": b'{\r\n  "dim_h": 2,\r\n  "operators": [{"rows": 1 "re": [[1.0, 0.5]]}]\r\n}\r\n',
     "100000-deep nesting": b"[" * 100000 + b"]" * 100000,
+    "600 brackets in an unterminated string": b'{"dim_h": 2, "note": "abc' + b"[" * 600,  # in a string: no nesting
 }
 
 
@@ -507,6 +508,7 @@ MALFORMED_MESSAGES = {
     "invalid UTF-8": "{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte",
     "CRLF syntax error on line 3": "invalid JSON in {path}: unexpected character: line 3 column 28 (char 45)",
     "100000-deep nesting": "JSON in {path} is nested too deeply to read",
+    "600 brackets in an unterminated string": "invalid JSON in {path}: unexpected end of data: line 1 column 626 (char 625)",
 }
 
 
