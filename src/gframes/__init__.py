@@ -11,16 +11,11 @@ from .errors import (
     NotParsevalError,
     PostconditionError,
 )
-from .linalg import (
-    RANK_TOLERANCE,
-    HermitianEigen,
-    frobenius_norm,
-    frobenius_norm_sq,
-    trace,
-)
+from .linalg import frobenius_norm_sq
 from .model import (
     DUAL_TOLERANCE,
     PARSEVAL_TOLERANCE,
+    RANK_TOLERANCE,
     FrameBounds,
     FrameOperator,
     GFrame,
@@ -29,8 +24,6 @@ from .model import (
     canonical_parseval,
     dual_residual,
     frame_operator,
-    matching_shapes,
-    parseval_defect,
     reconstruct,
     synthesis_apply,
     total_frobenius_energy,

@@ -10,12 +10,14 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .duals import extremal_frame, random_alternate_dual, verify_alternate_dual
 from .errors import GFrameError, NotAFrameError
 from .generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from .identities import canonical_dual_gap, parseval_gap
 from .io import load_frame, save_frame, write_frame
-from .linalg import frobenius_norm_sq, trace
+from .linalg import frobenius_norm_sq
 from .model import GFrame, canonical_dual, frame_operator, total_frobenius_energy, validate_frame
 from .report import DEFAULT_TRIALS, SUITE_NAMES, render_json, render_text, run_suite
 
@@ -84,7 +86,7 @@ def cmd_analyze(args) -> int:
     frame = load_frame(args.path)
     bounds = validate_frame(frame)
     energy = total_frobenius_energy(frame)
-    trace_s = trace(frame_operator(frame).matrix).real
+    trace_s = float(np.trace(frame_operator(frame).matrix).real)
     gap = parseval_gap(frame)
     dual_gap = canonical_dual_gap(frame)
     if args.json:

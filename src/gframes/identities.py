@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FrameOverflowError, NotParsevalError, PostconditionError
-from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq, trace
+from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq
 from .model import (
     PARSEVAL_TOLERANCE,
     DualStack,
@@ -28,8 +28,7 @@ from .model import (
     dual_certificates,
     frame_matrices,
     frame_operator,
-    parseval_defects,
-    parseval_tolerance,
+    parseval_failure,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
@@ -72,10 +71,8 @@ def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
     if isinstance(gam, ParsevalStack):
         return families, given
     s = frame_operator(gam).matrix if isinstance(gam, GFrame) else frame_matrices(families)
-    defects = parseval_defects(s).reshape(-1)
-    failed = np.flatnonzero(~(defects <= parseval_tolerance(families.shape[-1])))
-    if failed.size:
-        defect = float(defects[failed[0]])
+    defect = parseval_failure(s)
+    if defect is not None:
         raise NotParsevalError(
             f"{name} is not Parseval: ||S - I||_F = {defect:.3e} exceeds "
             f"{PARSEVAL_TOLERANCE:.0e} * n",
@@ -126,7 +123,7 @@ def parseval_weighted_energy(weight, g):
     families: the values then come back as a length-B array, entry b what
     the call on family b alone returns.
     """
-    w = as_matrix(weight, "weight")
+    w = as_matrix(weight, "weight", require_finite=True)
     families, given = require_parseval(g)
     if w.shape[1] != families.shape[-1]:
         raise ValueError(f"weight must have {families.shape[-1]} columns, got {w.shape[1]}")
@@ -171,7 +168,7 @@ def power_trace_identity(g: GFrame, a: float) -> tuple[float, float]:
     fo = frame_operator(g)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = frobenius_norm_sq(g.stacked @ fo.power(a))
-        rhs = trace(fo.power(2.0 * a + 1.0)).real
+        rhs = float(np.trace(fo.power(2.0 * a + 1.0)).real)
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise FrameOverflowError(
             f"frame is too large: the power-trace terms at a = {a} overflow double precision"

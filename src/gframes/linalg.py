@@ -1,10 +1,12 @@
-"""Dense complex matrix arithmetic and a Hermitian eigensolver.
+"""Input coercion, squared Frobenius norms and a Hermitian eigensolver.
 
 Matrices are numpy arrays with dtype complex128 (one 64-bit float per real
-and imaginary part). The eigensolver (LAPACK's, through numpy.linalg.eigh)
-and the fractional power serve model.FrameOperator, the one route to a
-decomposition or a power of S, and check nothing; FrameOperator gates the
-rank (full_rank) before any power.
+and imaginary part). Traces and norms are numpy's (np.trace,
+np.linalg.norm); frobenius_norm_sq keeps a name because it reads outside
+input through as_matrix. The eigensolver (LAPACK's, through
+numpy.linalg.eigh) and the fractional power serve model.FrameOperator, the
+one route to a decomposition or a power of S, and check nothing;
+FrameOperator holds the rank rule and gates it before any power.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-
-# lambda_min must exceed RANK_TOLERANCE * lambda_max for powers/inverses.
-RANK_TOLERANCE = 1e-10
 
 
 def as_matrix(value, name: str = "matrix", require_finite: bool = False) -> np.ndarray:
@@ -55,18 +54,6 @@ def frobenius_norms_sq(m: np.ndarray) -> np.ndarray:
     return np.sum(sq, axis=(-2, -1))
 
 
-def frobenius_norm(m) -> float:
-    return float(np.sqrt(frobenius_norm_sq(m)))
-
-
-def trace(m) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got shape {arr.shape}")
-    return complex(np.trace(arr))
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianEigen:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvector columns."""
@@ -96,11 +83,6 @@ def hermitian_eig(m) -> HermitianEigen:
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def full_rank(eigenvalues: np.ndarray) -> bool:
-    """The rank rule lambda_min > RANK_TOLERANCE * lambda_max, on a non-increasing spectrum."""
-    return bool(eigenvalues[-1] > RANK_TOLERANCE * eigenvalues[0])
 
 
 def matrix_power_eig(eig: HermitianEigen, a: float) -> np.ndarray:

@@ -17,12 +17,10 @@ import numpy as np
 
 from .errors import FrameOverflowError, NotADualError, NotAFrameError, PostconditionError
 from .linalg import (
-    RANK_TOLERANCE,
     HermitianEigen,
     as_vector,
     frobenius_norm_sq,
     frobenius_norms_sq,
-    full_rank,
     hermitian_eig,
     matrix_power_eig,
 )
@@ -127,17 +125,24 @@ class GFrame:
         return f"GFrame(dim_h={self.dim_h}, counts={list(self.counts)})"
 
 
+# The rank rule: lambda_min(S) must exceed RANK_TOLERANCE * lambda_max(S) for powers/inverses.
+RANK_TOLERANCE = 1e-10
+
+
 class FrameOperator:
     """The n x n matrix S of one frame: the one route to its eigendecomposition and powers.
 
     The eigendecomposition, the rank gate, the bounds and the powers are
     computed on first use. `matrix` is S as frame_matrices forms it: finite
-    and Hermitian by construction, so nothing checks it again.
+    and Hermitian by construction, so only its shape is checked: one square
+    matrix, not a stack (ValueError).
     """
 
     __slots__ = ("matrix", "_eig", "_bounds", "_powers")
 
     def __init__(self, matrix: np.ndarray):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"S must be one square matrix, got shape {matrix.shape}")
         self.matrix = matrix
         self._eig = None
         self._bounds = None
@@ -151,8 +156,9 @@ class FrameOperator:
 
     @property
     def is_frame(self) -> bool:
-        """The rank gate: lambda_min(S) > RANK_TOLERANCE * lambda_max(S) (linalg.full_rank)."""
-        return full_rank(self.eig.eigenvalues)
+        """The rank gate: lambda_min(S) > RANK_TOLERANCE * lambda_max(S)."""
+        lam = self.eig.eigenvalues  # non-increasing
+        return bool(lam[-1] > RANK_TOLERANCE * lam[0])
 
     def require_frame(self) -> None:
         """Raise NotAFrameError unless the frame passes the rank gate."""
@@ -248,14 +254,16 @@ def parseval_defects(s: np.ndarray) -> np.ndarray:
     return np.sqrt(frobenius_norms_sq(s - np.eye(s.shape[-1])))
 
 
-def parseval_defect(g: GFrame) -> float:
-    """||S - I||_F for the family."""
-    return float(parseval_defects(frame_operator(g).matrix))
-
-
 def parseval_tolerance(n: int) -> float:
     """The Parseval rule: a family on C^n qualifies as Parseval when its ||S - I||_F is at most this."""
     return PARSEVAL_TOLERANCE * n
+
+
+def parseval_failure(s: np.ndarray) -> float | None:
+    """The first ||S - I||_F of a (..., n, n) stack that breaks the Parseval rule, or None."""
+    defects = parseval_defects(s)
+    failed = np.flatnonzero(~(defects <= parseval_tolerance(s.shape[-1])))
+    return float(defects.flat[failed[0]]) if failed.size else None
 
 
 def analysis_apply(f: GFrame, x) -> list[np.ndarray]:
@@ -294,11 +302,10 @@ def parseval_stack(p: np.ndarray, family: str) -> ParsevalStack:
     """
     p.setflags(write=False)
     s = frame_matrices(p)
-    defects = parseval_defects(s)
-    failed = np.flatnonzero(~(defects <= parseval_tolerance(p.shape[-1])))
-    if failed.size:
+    defect = parseval_failure(s)
+    if defect is not None:
         raise PostconditionError(
-            f"{family} is not Parseval: ||S' - I||_F = {defects.flat[failed[0]]:.3e} "
+            f"{family} is not Parseval: ||S' - I||_F = {defect:.3e} "
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
     return ParsevalStack(p, s)
@@ -348,12 +355,8 @@ def total_frobenius_energy(f: GFrame) -> float:
     return frobenius_norm_sq(f.stacked)
 
 
-def matching_shapes(a: GFrame, b: GFrame) -> bool:
-    return a.dim_h == b.dim_h and a.counts == b.counts
-
-
 def require_matching_shapes(a: GFrame, b: GFrame) -> None:
-    if not matching_shapes(a, b):
+    if a.dim_h != b.dim_h or a.counts != b.counts:
         raise ValueError(
             f"families do not match: dim_h {a.dim_h} vs {b.dim_h}, "
             f"counts {list(a.counts)} vs {list(b.counts)}"

@@ -44,7 +44,7 @@ from .identities import (
     spectral_parseval_gap,
     weighted_energy_tolerance,
 )
-from .linalg import frobenius_norm_sq, trace
+from .linalg import frobenius_norm_sq
 from .model import (
     GFrame,
     canonical_dual,
@@ -140,7 +140,7 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     n = f.dim_h
 
     energy = total_frobenius_energy(f)
-    trace_s = trace(frame_operator(f).matrix).real
+    trace_s = float(np.trace(frame_operator(f).matrix).real)
     with _guard(checks, "energy-equals-trace") as add:
         add(equality_check, energy, trace_s, 1e-10 * (1.0 + trace_s))
     with _guard(checks, "energy-interval-lower") as add:

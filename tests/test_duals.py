@@ -24,7 +24,6 @@ from gframes.duals import (
     verify_alternate_dual,
 )
 from gframes.identities import canonical_dual_gap, parseval_gap, pointwise_dual_decomposition
-from gframes.linalg import frobenius_norm
 from gframes.model import DualCertificate, GFrame, canonical_dual, canonical_parseval, frame_operator, validate_frame
 from gframes.generators import in_batches, nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from gframes.rng import complex_gaussian_matrix, stream
@@ -51,7 +50,7 @@ class TestVerifyAlternateDual:
         assert not cert.passed
         # the mismatch is exactly the distance of S^(1/2) from the identity
         s_root = frame_operator(lam).power(0.5)
-        expected = frobenius_norm(s_root - np.eye(3))
+        expected = np.linalg.norm(s_root - np.eye(3))
         assert cert.residual == pytest.approx(expected, abs=1e-8)
 
     def test_shape_mismatch(self):
@@ -93,7 +92,7 @@ class TestRandomAlternateDual:
         dual = random_alternate_dual(lam, magnitude=0.5, seed=15)
         canonical = canonical_dual(lam)
         distance = sum(
-            frobenius_norm(a - b) for a, b in zip(dual.operators, canonical.operators)
+            np.linalg.norm(a - b) for a, b in zip(dual.operators, canonical.operators)
         )
         assert distance > 0.01  # genuinely perturbed
 

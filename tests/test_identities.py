@@ -91,6 +91,13 @@ class TestWeightedEnergy:
         with pytest.raises(ValueError):
             parseval_weighted_energy(np.eye(2), g)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        # A caller's bad weight is refused before any product: no numpy warning, no PostconditionError.
+        g = random_parseval_gframe(3, (2, 2), seed=7)
+        with pytest.raises(ValueError, match=r"^weight contains non-finite entries$"):
+            parseval_weighted_energy(np.full((3, 3), bad), g)
+
 
 class TestFrobeniusBudget:
     def test_orthonormal_basis(self):

@@ -1,4 +1,4 @@
-"""Numeric core: norms, traces, eigensolver, fractional powers of S through FrameOperator."""
+"""Numeric core: squared Frobenius norms, eigensolver, fractional powers of S through FrameOperator."""
 
 import math
 import warnings
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gframes.errors import ConvergenceError, NotAFrameError
-from gframes.linalg import RANK_TOLERANCE, frobenius_norm, frobenius_norm_sq, hermitian_eig, trace
-from gframes.model import FrameOperator
+from gframes.linalg import frobenius_norm_sq, hermitian_eig
+from gframes.model import RANK_TOLERANCE, FrameOperator
 
 from conftest import random_complex, random_hermitian, random_spd
 
@@ -34,32 +34,6 @@ class TestFrobenius:
         assert math.isclose(a, b, rel_tol=1e-14)
 
 
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(4)) == 4.0
-
-    def test_diagonal(self):
-        assert trace(np.diag([1.0, 2.0, 3.0])) == 6.0
-
-    def test_cyclicity(self, rng):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        lhs = trace(a @ b)
-        rhs = trace(b @ a)
-        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-    def test_cyclicity_scaled_tolerance(self, rng):
-        for _ in range(20):
-            a = random_complex(rng, 6, 6)
-            b = random_complex(rng, 6, 6)
-            gap = abs(trace(a @ b) - trace(b @ a))
-            assert gap <= 1e-10 * (1 + frobenius_norm(a) * frobenius_norm(b))
-
-    def test_rejects_non_square(self, rng):
-        with pytest.raises(ValueError):
-            trace(random_complex(rng, 2, 3))
-
-
 class TestHermitianEig:
     def test_diagonal_case(self):
         e = hermitian_eig(np.diag([3.0, 1.0]))
@@ -81,7 +55,7 @@ class TestHermitianEig:
         e = hermitian_eig(m)
         u = e.eigenvectors
         rec = (u * e.eigenvalues) @ u.conj().T
-        assert frobenius_norm(rec - m) <= 1e-9
+        assert np.linalg.norm(rec - m) <= 1e-9
 
     def test_invariants_random_sizes(self, rng):
         for _ in range(60):
@@ -89,16 +63,16 @@ class TestHermitianEig:
             m = random_hermitian(rng, n)
             e = hermitian_eig(m)
             u = e.eigenvectors
-            assert frobenius_norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
             rec = (u * e.eigenvalues) @ u.conj().T
-            assert frobenius_norm(rec - m) <= 1e-9 * (1 + frobenius_norm(m))
+            assert np.linalg.norm(rec - m) <= 1e-9 * (1 + np.linalg.norm(m))
             assert (np.diff(e.eigenvalues) <= 1e-12).all()
 
     def test_matches_lapack_eigenvalues(self, rng):
         m = random_hermitian(rng, 12)
         e = hermitian_eig(m)
         ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.abs(e.eigenvalues - ref).max() <= 1e-10 * (1 + frobenius_norm(m))
+        assert np.abs(e.eigenvalues - ref).max() <= 1e-10 * (1 + np.linalg.norm(m))
 
     def test_accepts_tiny_asymmetry(self, rng):
         m = random_hermitian(rng, 4)
@@ -144,24 +118,24 @@ class TestMatrixPower:
 
     def test_identity_any_exponent(self):
         for a in (-1.0, -0.5, 0.0, 0.25, 2.0):
-            assert frobenius_norm(FrameOperator(np.eye(3)).power(a) - np.eye(3)) <= 1e-12
+            assert np.linalg.norm(FrameOperator(np.eye(3)).power(a) - np.eye(3)) <= 1e-12
 
     def test_diagonal_square_root(self):
         r = FrameOperator(np.diag([4.0, 1.0])).power(0.5)
-        assert frobenius_norm(r - np.diag([2.0, 1.0])) <= 1e-12
+        assert np.linalg.norm(r - np.diag([2.0, 1.0])) <= 1e-12
 
     def test_square_root_multiplies_back(self, rng):
         s = random_spd(rng, 6)
         r = FrameOperator(s).power(0.5)
-        assert frobenius_norm(r @ r - s) <= 1e-9 * (1 + frobenius_norm(s))
+        assert np.linalg.norm(r @ r - s) <= 1e-9 * (1 + np.linalg.norm(s))
 
     def test_power_zero_is_identity(self, rng):
         s = random_spd(rng, 5)
-        assert frobenius_norm(FrameOperator(s).power(0.0) - np.eye(5)) <= 1e-10
+        assert np.linalg.norm(FrameOperator(s).power(0.0) - np.eye(5)) <= 1e-10
 
     def test_power_one_is_input(self, rng):
         s = random_spd(rng, 5)
-        assert frobenius_norm(FrameOperator(s).power(1.0) - s) <= 1e-9 * (1 + frobenius_norm(s))
+        assert np.linalg.norm(FrameOperator(s).power(1.0) - s) <= 1e-9 * (1 + np.linalg.norm(s))
 
     def test_power_law_family(self, rng):
         exponents = (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0)
@@ -173,8 +147,8 @@ class TestMatrixPower:
             for a in exponents:
                 for b in exponents:
                     target = op.power(a + b)
-                    gap = frobenius_norm(op.power(a) @ op.power(b) - target)
-                    assert gap <= 1e-8 * frobenius_norm(target)
+                    gap = np.linalg.norm(op.power(a) @ op.power(b) - target)
+                    assert gap <= 1e-8 * np.linalg.norm(target)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotAFrameError) as info:
