@@ -10,7 +10,6 @@ from .errors import EpsilonOutOfRangeError, FrameOverflowError, PostconditionErr
 from .identities import canonical_dual_gap, parseval_gap
 from .model import (  # verify_alternate_dual is re-exported here
     DualCertificate,
-    DualStack,
     GFrame,
     canonical_dual,
     dual_certificates,
@@ -43,8 +42,8 @@ def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndar
     return deltas
 
 
-def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[DualStack, list[DualCertificate]]:
-    """The seeds' duals as one DualStack, with each dual's certificate, in seed order.
+def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[np.ndarray, list[DualCertificate]]:
+    """The seeds' duals as one read-only (B, K, n) stack, with each dual's certificate, in seed order.
 
     For the first seed whose dual fails, raises FrameOverflowError when the
     dual is not finite, else NotADualError; a failed step of the whole stack
@@ -60,7 +59,7 @@ def certified_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> tuple[Du
             )
         cert.require()
     duals.setflags(write=False)
-    return DualStack(lam, duals), certificates
+    return duals, certificates
 
 
 def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
@@ -77,8 +76,8 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     magnitude breaks the equation. The dual carries no certificate;
     verify_alternate_dual(lam, dual) forms it again.
     """
-    stack, _ = certified_duals(lam, magnitude, [seed])
-    return GFrame.from_stacked(stack.families[0], lam.counts)
+    duals, _ = certified_duals(lam, magnitude, [seed])
+    return GFrame.from_stacked(duals[0], lam.counts)
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:
@@ -106,13 +105,8 @@ def parseval_proximity_bound(g: GFrame) -> tuple[float, float]:
     """
     eps, margin, n = _require_epsilon(g)
     gap = parseval_gap(g)
+    # Binding side: margin <= 1 <= 1 + eps, so shrink >= the stretch side eps / (1 + sqrt(1 + eps)).
     shrink = eps / (1.0 + sqrt(margin))
-    stretch = eps / (sqrt(1.0 + eps) + 1.0)
-    # The shrink side always dominates; the bound would be wrong otherwise.
-    if max(shrink, stretch) != shrink:
-        raise PostconditionError(
-            f"binding side inverted: shrink {shrink!r} < stretch {stretch!r}"
-        )
     bound = n * shrink * shrink
     if gap > bound + proximity_slack(n):
         raise PostconditionError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRangeError, GFrameError
-from .model import FrameOperator, GFrame, ParsevalStack, canonical_parseval, frame_matrices, parseval_stack
+from .model import FrameOperator, GFrame, canonical_parseval, frame_matrices, parseval_stack
 from .rng import complex_gaussian_matrix, complex_gaussian_stack, stream
 
 RETRY_CAP = 16
@@ -100,8 +100,8 @@ def random_gframe(n: int, counts, seed: int) -> GFrame:
     return _random_gframe(n, counts, seed)[0]
 
 
-def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> ParsevalStack:
-    """Random Parseval frames of one shape, one per seed in seed order, as one ParsevalStack.
+def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> np.ndarray:
+    """Random Parseval frames of one shape, one per seed in seed order, as one read-only (B, K, n) stack.
 
     n and counts are taken as checked: counts is a tuple of positive ints
     adding up to at least n, as random_parseval_gframe checks and as a
@@ -114,13 +114,15 @@ def parseval_companions(n: int, counts: tuple[int, ...], seeds: list[int]) -> Pa
     call seed by seed.
     """
     q, r = np.linalg.qr(complex_gaussian_stack([stream(seed) for seed in seeds], counts, n))
-    return parseval_stack(_unit_pivots(q, r), "random Parseval companion")
+    companions = _unit_pivots(q, r)
+    parseval_stack(companions, "random Parseval companion")
+    return companions
 
 
 def random_parseval_gframe(n: int, counts, seed: int) -> GFrame:
     """Random Parseval frame: the one-seed case of parseval_companions."""
     counts = _check_params(n, counts)
-    return GFrame.from_stacked(parseval_companions(n, counts, [seed]).families[0], counts)
+    return GFrame.from_stacked(parseval_companions(n, counts, [seed])[0], counts)
 
 
 def _unit_pivots(q: np.ndarray, r: np.ndarray) -> np.ndarray:

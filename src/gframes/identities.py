@@ -10,6 +10,15 @@ error row (lhs = rhs = 0, tolerance -1), never as a FAIL row carrying the
 values. The Parseval rule is model.parseval_tolerance, the slack of both
 proximity bounds is duals.proximity_slack, and report rows with no identity
 behind them keep their own tolerance in report.
+
+The public operations take GFrames and one vector, check them, and return
+floats. The companion identities each run on a stacked core
+(weighted_energies, parseval_approx_terms, pointwise_dual_terms,
+frobenius_dual_terms) that takes a (B, K, n) stack of families and returns
+the terms that vary with the family as length-B arrays. A one-frame call is
+its core on the stack of that one frame, so it and a batch run the same
+arithmetic, bit for bit. The cores check no input: the report suites pass
+them the stacks a builder has just checked.
 """
 
 from __future__ import annotations
@@ -20,80 +29,27 @@ from .errors import FrameOverflowError, NotParsevalError, PostconditionError
 from .linalg import as_matrix, as_vector, frobenius_norm_sq, frobenius_norms_sq
 from .model import (
     PARSEVAL_TOLERANCE,
-    DualStack,
     GFrame,
-    ParsevalStack,
     canonical_dual,
     canonical_parseval,
-    dual_certificates,
-    frame_matrices,
     frame_operator,
     parseval_failure,
     require_matching_shapes,
     total_frobenius_energy,
     validate_frame,
+    verify_alternate_dual,
 )
 
 
-def _stack(gam, what: str, like: GFrame | None = None):
-    """gam as a (B, K, n) stack of analysis operators, and the function giving a call's terms in gam's form.
-
-    gam is a GFrame, taken as the stack of its one analysis operator, whose
-    terms come back as floats; or a (B, K, n) stack of `what`, bare or as a
-    builder's ParsevalStack or DualStack, whose terms come back as they are.
-    A term that does not depend on gam stays a float. With `like`, gam must
-    have like's shape: a GFrame its dim_h and counts
-    (require_matching_shapes), a stack its K x n.
-    """
-    if isinstance(gam, GFrame):
-        if like is not None:
-            require_matching_shapes(like, gam)
-        return gam.stacked[np.newaxis], lambda *terms: tuple(float(t[0]) if np.ndim(t) else t for t in terms)
-    if isinstance(gam, (ParsevalStack, DualStack)):
-        gam = gam.families
-    families = np.asarray(gam, dtype=np.complex128)
-    rows, cols = ("K", "n") if like is None else like.stacked.shape
-    if families.ndim != 3 or min(families.shape) < 1 or (
-            like is not None and families.shape[1:] != like.stacked.shape):
-        raise ValueError(f"a stack of {what} must have shape (B, {rows}, {cols}), got {families.shape}")
-    return families, lambda *terms: terms
-
-
-def require_parseval(gam, name: str = "frame", like: GFrame | None = None):
-    """gam as a (B, K, n) stack and its terms' form (see _stack), once each family is Parseval.
-
-    gam is a GFrame, whose memoized S is read, a (B, K, n) stack of analysis
-    operators, or a ParsevalStack, whose families model.parseval_stack has
-    already checked. Raises NotParsevalError for the first family that
-    misses the Parseval rule.
-    """
-    families, given = _stack(gam, "families", like)
-    if isinstance(gam, ParsevalStack):
-        return families, given
-    s = frame_operator(gam).matrix if isinstance(gam, GFrame) else frame_matrices(families)
-    defect = parseval_failure(s)
+def require_parseval(g: GFrame, name: str = "frame") -> None:
+    """Raise NotParsevalError unless g, read through its memoized S, meets the Parseval rule."""
+    defect = parseval_failure(frame_operator(g).matrix)
     if defect is not None:
         raise NotParsevalError(
             f"{name} is not Parseval: ||S - I||_F = {defect:.3e} exceeds "
             f"{PARSEVAL_TOLERANCE:.0e} * n",
             residual=defect,
         )
-    return families, given
-
-
-def require_alternate_dual(lam: GFrame, gam):
-    """gam as a (B, K, n) stack and its terms' form (see _stack), once each is an alternate dual of lam.
-
-    gam is a GFrame or a (B, K, n) stack of analysis operators of lam's
-    shape, each checked here by dual_certificates, or a DualStack of lam,
-    whose duals certified_duals has already checked. Raises NotADualError
-    for the first that misses the dual equation.
-    """
-    duals, given = _stack(gam, "duals", like=lam)
-    if not (isinstance(gam, DualStack) and gam.frame is lam):
-        for cert in dual_certificates(lam, duals):
-            cert.require()
-    return duals, given
 
 
 def _check(condition: bool, message: str) -> None:
@@ -113,27 +69,32 @@ def weighted_energy_tolerance(closed: float) -> float:
     return 1e-8 * (1.0 + closed)
 
 
-def parseval_weighted_energy(weight, g):
+def parseval_weighted_energy(weight, g: GFrame) -> float:
     """Sum of ||W adjoint(op)||_F^2 over a Parseval family.
 
     The value is independent of the particular Parseval family and equals
     ||W||_F^2; the weight must act on the domain, i.e. have dim_h columns.
-
-    g may also be a (B, K, n) stack of analysis operators of Parseval
-    families: the values then come back as a length-B array, entry b what
-    the call on family b alone returns.
     """
     w = as_matrix(weight, "weight", require_finite=True)
-    families, given = require_parseval(g)
-    if w.shape[1] != families.shape[-1]:
-        raise ValueError(f"weight must have {families.shape[-1]} columns, got {w.shape[1]}")
+    require_parseval(g)
+    if w.shape[1] != g.dim_h:
+        raise ValueError(f"weight must have {g.dim_h} columns, got {w.shape[1]}")
+    return float(weighted_energies(w, g.stacked[np.newaxis])[0])
+
+
+def weighted_energies(w: np.ndarray, families: np.ndarray) -> np.ndarray:
+    """parseval_weighted_energy of the finite weight w on each family of a (B, K, n) stack, as a length-B array.
+
+    Checks no input: the caller's builder has checked that each family is
+    Parseval, and w is a finite complex matrix with n columns.
+    """
     values = frobenius_norms_sq(families @ w.conj().T)
     closed = frobenius_norm_sq(w)
     _check_each(
         abs(values - closed) <= weighted_energy_tolerance(closed),
         lambda i: f"weighted energy {float(values[i])!r} drifted from ||W||_F^2 = {closed!r}",
     )
-    return given(values)[0]
+    return values
 
 
 def parseval_budget_tolerance(n: int) -> float:
@@ -185,7 +146,7 @@ def parseval_approx_tolerance(total: float) -> float:
     return 1e-7 * (1.0 + total)
 
 
-def parseval_approx_decomposition(lam: GFrame, gam):
+def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float, float]:
     """Split the Frobenius distance to a Parseval family into two non-negative sums.
 
     Returns (total, canonical_gap, cross_term):
@@ -194,25 +155,33 @@ def parseval_approx_decomposition(lam: GFrame, gam):
       cross_term     sum ||gam_i S^(1/4) - lam_i S^(-1/4)||_F^2
     with total = canonical_gap + cross_term; the cross term vanishes exactly
     when gam is the canonical Parseval family of lam.
-
-    gam may also be a (B, K, n) stack of analysis operators of Parseval
-    families: total and cross_term then come back as length-B arrays, entry b
-    what the call on family b alone returns, and canonical_gap, which depends
-    on lam alone, as one float, built once.
     """
     validate_frame(lam)
-    b, given = require_parseval(gam, "second family", like=lam)
+    require_matching_shapes(lam, gam)
+    require_parseval(gam, "second family")
+    total, canonical_gap, cross_term = parseval_approx_terms(lam, gam.stacked[np.newaxis])
+    return float(total[0]), canonical_gap, float(cross_term[0])
+
+
+def parseval_approx_terms(lam: GFrame, families: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """parseval_approx_decomposition of lam against each family of a (B, K, n) stack.
+
+    total and cross_term come back as length-B arrays and canonical_gap,
+    which depends on lam alone, as one float, built once. Checks no input:
+    the caller's builder has checked that each family is Parseval and has
+    lam's shape.
+    """
     fo = frame_operator(lam)
     a = lam.stacked
-    total = frobenius_norms_sq(a - b)
+    total = frobenius_norms_sq(a - families)
     canonical_gap = frobenius_norm_sq(a - canonical_parseval(lam).stacked)
-    cross_term = frobenius_norms_sq(b @ fo.power(0.25) - a @ fo.power(-0.25))
+    cross_term = frobenius_norms_sq(families @ fo.power(0.25) - a @ fo.power(-0.25))
     _check_each(
         abs(total - canonical_gap - cross_term) <= parseval_approx_tolerance(total),
         lambda i: f"decomposition drifted: {float(total[i])!r} vs {canonical_gap!r} + "
         f"{float(cross_term[i])!r}",
     )
-    return given(total, canonical_gap, cross_term)
+    return total, canonical_gap, cross_term
 
 
 def parseval_gap_tolerance(value: float) -> float:
@@ -262,7 +231,7 @@ def pointwise_dual_tolerance(total):
     return 1e-8 * (1.0 + total)
 
 
-def pointwise_dual_decomposition(lam: GFrame, gam, x):
+def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, float, float]:
     """Split the coefficient distance at one vector between a frame and a dual.
 
     Returns (total, canonical, residual):
@@ -271,21 +240,23 @@ def pointwise_dual_decomposition(lam: GFrame, gam, x):
       residual   sum ||lam_i S^(-1) x - gam_i x||^2
     with total = canonical + residual; the residual vanishes when gam is the
     canonical dual.
-
-    gam may also be a (B, K, n) stack of analysis operators of duals, and x
-    an n x m block of probe vectors: the terms then come back as arrays, entry
-    j pairing column j of x with dual j (a single dual or vector serves every
-    entry), each entry what the call on that dual and vector alone returns.
     """
     validate_frame(lam)
-    duals, given = require_alternate_dual(lam, gam)
-    if np.ndim(x) == 2:
-        probes = as_matrix(x, "x", require_finite=True)
-        if probes.shape[0] != lam.dim_h:
-            raise ValueError(f"x must have {lam.dim_h} rows, got {probes.shape[0]}")
-        vecs = np.ascontiguousarray(probes.T)[..., np.newaxis]
-    else:
-        vecs = as_vector(x, lam.dim_h, "x")[np.newaxis, :, np.newaxis]
+    verify_alternate_dual(lam, gam).require()
+    vec = as_vector(x, lam.dim_h, "x")
+    total, canonical, residual = pointwise_dual_terms(lam, gam.stacked[np.newaxis], vec[:, np.newaxis])
+    return float(total[0]), float(canonical[0]), float(residual[0])
+
+
+def pointwise_dual_terms(lam: GFrame, duals: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """pointwise_dual_decomposition of lam for each dual of a (B, K, n) stack and each column of n x m probes.
+
+    The terms come back as arrays, entry j pairing column j of probes with
+    dual j (a single dual or probe serves every entry). Checks no input: the
+    caller's builder has checked that each dual is an alternate dual of lam,
+    and the probes are finite complex vectors of length n.
+    """
+    vecs = np.ascontiguousarray(probes.T)[..., np.newaxis]
     # One matrix-vector product per probe: the products of the one-vector call, bit for bit.
     lam_x = lam.stacked @ vecs
     gam_x = duals @ vecs
@@ -299,8 +270,7 @@ def pointwise_dual_decomposition(lam: GFrame, gam, x):
         lambda i: f"pointwise decomposition drifted: {float(total[i])!r} vs "
         f"{float(canonical[i])!r} + {float(residual[i])!r}",
     )
-    # A block of probes makes the call stacked, whatever gam is.
-    return (total, canonical, residual) if np.ndim(x) == 2 else given(total, canonical, residual)
+    return total, canonical, residual
 
 
 def frobenius_dual_tolerance(total):
@@ -313,7 +283,7 @@ def dual_closed_form_tolerance(canonical: float) -> float:
     return 1e-8 * (1.0 + canonical)
 
 
-def frobenius_dual_decomposition(lam: GFrame, gam):
+def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float, float]:
     """Split the Frobenius distance between a frame and an alternate dual.
 
     Returns (total, canonical, residual):
@@ -322,19 +292,26 @@ def frobenius_dual_decomposition(lam: GFrame, gam):
       residual   sum ||lam_i S^(-1) - gam_i||_F^2
     with total = canonical + residual; canonical matches the spectral form
     sum_k (lambda_k - 1)^2 / lambda_k.
-
-    gam may also be a (B, K, n) stack of analysis operators of duals: total
-    and residual then come back as length-B arrays, entry b what the call on
-    dual b alone returns, and canonical, which depends on lam alone, as one
-    float, built and checked once.
     """
     validate_frame(lam)
-    b, given = require_alternate_dual(lam, gam)
+    verify_alternate_dual(lam, gam).require()
+    total, canonical, residual = frobenius_dual_terms(lam, gam.stacked[np.newaxis])
+    return float(total[0]), canonical, float(residual[0])
+
+
+def frobenius_dual_terms(lam: GFrame, duals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """frobenius_dual_decomposition of lam against each dual of a (B, K, n) stack.
+
+    total and residual come back as length-B arrays and canonical, which
+    depends on lam alone, as one float, built and checked once. Checks no
+    input: the caller's builder has checked that each dual is an alternate
+    dual of lam.
+    """
     a = lam.stacked
     c = canonical_dual(lam).stacked
-    total = frobenius_norms_sq(a - b)
+    total = frobenius_norms_sq(a - duals)
     canonical = frobenius_norm_sq(a - c)
-    residual = frobenius_norms_sq(c - b)
+    residual = frobenius_norms_sq(c - duals)
     _check_each(
         abs(total - canonical - residual) <= frobenius_dual_tolerance(total),
         lambda i: f"dual decomposition drifted: {float(total[i])!r} vs {canonical!r} + "
@@ -345,4 +322,4 @@ def frobenius_dual_decomposition(lam: GFrame, gam):
         abs(canonical - closed) <= dual_closed_form_tolerance(canonical),
         f"canonical term drifted from spectral form: {canonical!r} vs {closed!r}",
     )
-    return given(total, canonical, residual)
+    return total, canonical, residual

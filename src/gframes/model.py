@@ -11,7 +11,6 @@ transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -281,20 +280,8 @@ def synthesis_apply(f: GFrame, y) -> np.ndarray:
     return f.stacked.conj().T @ np.concatenate(blocks)
 
 
-class ParsevalStack(NamedTuple):
-    """Parseval families and their S', as parseval_stack returns them.
-
-    Only parseval_stack makes one, once each family has met the Parseval
-    rule; identities.require_parseval reads that check instead of running it
-    again. Both arrays are read-only.
-    """
-
-    families: np.ndarray
-    s: np.ndarray
-
-
-def parseval_stack(p: np.ndarray, family: str) -> ParsevalStack:
-    """A K x n analysis operator, or a (B, K, n) stack of them, made read-only, with its frame operator S'.
+def parseval_stack(p: np.ndarray, family: str) -> np.ndarray:
+    """The frame operator S' (read-only) of a K x n analysis operator, or a (B, K, n) stack of them, made read-only.
 
     The postcondition of every Parseval builder; `family` names the builder's
     family in the error. Raises PostconditionError when a family misses the
@@ -308,7 +295,7 @@ def parseval_stack(p: np.ndarray, family: str) -> ParsevalStack:
             f"{family} is not Parseval: ||S' - I||_F = {defect:.3e} "
             f"exceeds {PARSEVAL_TOLERANCE:.0e} * n"
         )
-    return ParsevalStack(p, s)
+    return s
 
 
 def canonical_parseval(f: GFrame) -> GFrame:
@@ -318,7 +305,8 @@ def canonical_parseval(f: GFrame) -> GFrame:
     raises anew; a family that passes is memoized per frame, with S' cached on it.
     """
     if f._parseval is None:
-        p, s = parseval_stack(f.stacked @ frame_operator(f).power(-0.5), "canonical Parseval frame")
+        p = f.stacked @ frame_operator(f).power(-0.5)
+        s = parseval_stack(p, "canonical Parseval frame")
         f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
     return f._parseval
 
@@ -406,18 +394,6 @@ def dual_certificates(lam: GFrame, duals: np.ndarray) -> list[DualCertificate]:
         DualCertificate(residual=r, tolerance=tolerance, passed=r <= tolerance)
         for r in dual_residuals(lam, duals).tolist()
     ]
-
-
-class DualStack(NamedTuple):
-    """Alternate duals of `frame` as duals.certified_duals returns them: a read-only (B, K, n) stack.
-
-    Only certified_duals makes one, once every dual's certificate has
-    passed; identities.require_alternate_dual reads that check instead of
-    running it again.
-    """
-
-    frame: GFrame
-    families: np.ndarray
 
 
 def verify_alternate_dual(lam: GFrame, gam: GFrame) -> DualCertificate:

@@ -29,19 +29,21 @@ from .identities import (
     canonical_dual_gap,
     dual_closed_form_tolerance,
     frobenius_dual_decomposition,
+    frobenius_dual_terms,
     frobenius_dual_tolerance,
     parseval_approx_decomposition,
+    parseval_approx_terms,
     parseval_approx_tolerance,
     parseval_budget_tolerance,
     parseval_frobenius_budget,
     parseval_gap,
     parseval_gap_tolerance,
-    parseval_weighted_energy,
-    pointwise_dual_decomposition,
+    pointwise_dual_terms,
     pointwise_dual_tolerance,
     power_trace_identity,
     power_trace_tolerance,
     spectral_parseval_gap,
+    weighted_energies,
     weighted_energy_tolerance,
 )
 from .linalg import frobenius_norm_sq
@@ -58,6 +60,8 @@ from .rng import complex_gaussian_matrix, standard_normals, stream
 SUITE_NAMES = ("budgets", "parseval-approx", "duals", "bounds", "all")
 POWER_EXPONENTS = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
 DEFAULT_TRIALS = 50
+# Each trial adds about 5-6 KB to a report held in memory, so this cap holds about 0.5 GB.
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def budgets_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
     weight_sq = frobenius_norm_sq(weight)
     values: list[float] = []
     seeds = [_child_seed(master) for _ in range(trials)]
-    energies = _companion_terms(f, seeds, lambda stack: parseval_weighted_energy(weight, stack).tolist())
+    energies = _companion_terms(f, seeds, lambda companions: weighted_energies(weight, companions).tolist())
     for j, outcome in enumerate(energies):
         with _guard(checks, f"weighted-energy[trial={j}]") as add:
             value = unwrap(outcome)
@@ -185,7 +189,7 @@ def parseval_approx_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult
         add(equality_check, total, canonical_gap, 1e-8 * (1.0 + total), row="parseval-approx-canonical-total")
 
     def decompositions(companions) -> list:
-        total, canonical_gap, cross = parseval_approx_decomposition(f, companions)
+        total, canonical_gap, cross = parseval_approx_terms(f, companions)
         return [(t, canonical_gap, c) for t, c in zip(total.tolist(), cross.tolist())]
 
     totals: list[float] = []
@@ -221,7 +225,8 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
         # One draw of the 5 probes, made first, so the trials' seeds never depend on the dual.
         parts = standard_normals(master, 5 * 2 * n).reshape(5, 2 * n)
         probes = parts[:, :n] + 1j * parts[:, n:]
-        _, _, residual = pointwise_dual_decomposition(f, canonical_dual(f), probes.T)
+        # canonical_dual returns only a dual that passed its check, so the core takes it as checked.
+        _, _, residual = pointwise_dual_terms(f, canonical_dual(f).stacked[np.newaxis], probes.T)
         add(at_most_check, float(np.max(residual)), 0.0, 1e-10)
     with _guard(checks, "frobenius-dual-closed-form") as add:
         total, canonical_term, residual = frobenius_dual_decomposition(f, canonical_dual(f))
@@ -234,10 +239,10 @@ def duals_suite(f: GFrame, trials: int, seed: int) -> list[CheckResult]:
 
     def build(batch: list) -> list:
         """Per trial: its certificate and Frobenius and pointwise terms, from one stacked call per identity."""
-        stack, certificates = certified_duals(f, magnitude, [child for child, _ in batch])
+        duals, certificates = certified_duals(f, magnitude, [child for child, _ in batch])
         probes = np.array([vector for _, vector in batch]).T
-        total, canonical_term, residual = frobenius_dual_decomposition(f, stack)
-        ptotal, pcanon, pres = pointwise_dual_decomposition(f, stack, probes)
+        total, canonical_term, residual = frobenius_dual_terms(f, duals)
+        ptotal, pcanon, pres = pointwise_dual_terms(f, duals, probes)
         return [(cert, (t, canonical_term, r), (pt, pc, pr)) for cert, t, r, pt, pc, pr in zip(
             certificates, total.tolist(), residual.tolist(), ptotal.tolist(), pcanon.tolist(), pres.tolist())]
 
@@ -282,6 +287,8 @@ def run_suite(f: GFrame, suite: str = "all", trials: int = DEFAULT_TRIALS, seed:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     bounds = validate_frame(f)
     summary = {
         "dim_h": f.dim_h,

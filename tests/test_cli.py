@@ -427,6 +427,13 @@ class TestGenArguments:
         assert (code, out) == (2, "")
         assert err == "error: trials must be non-negative, got -1\n"
 
+    def test_verify_refuses_trials_beyond_the_cap_before_any_draw(self, capsys):
+        # Drawing 10**20 child seeds would run until memory runs out.
+        path = GOLDEN / "extremal.frame.json"
+        code, out, err = run(capsys, "verify", str(path), "--trials", str(10**20))
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be at most 100000, got 100000000000000000000\n"
+
 
 @pytest.mark.parametrize(
     "gen_args",
@@ -461,6 +468,15 @@ class TestSeedRange:
             assert (code, out) == (2, ""), argv[0]
             assert err == f"error: seed must be below 2**128, got {2**128}\n"
         assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--n", "4", "--seed", "-1"],
+        ["verify", str(GOLDEN / "extremal.frame.json"), "--seed", "-1"],
+    ], ids=["gen", "verify"])
+    def test_negative_seed_is_named_in_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
     def test_seed_2_128_minus_1_runs(self, capsys, tmp_path):
         for argv in self.commands(tmp_path, 2**128 - 1):

@@ -291,8 +291,8 @@ class TestRandomAlternateDualBatches:
         # Every seed is drawn in one stacked call.
         assert sizes == [len(seeds)]
         assert all(isinstance(outcome, DualCertificate) for outcome in outcomes)
-        assert stack.frame is lam and len(stack.families) == len(seeds)
-        for seed, family, cert in zip(seeds, stack.families, outcomes):
+        assert stack.shape == (len(seeds), *lam.stacked.shape) and not stack.flags.writeable
+        for seed, family, cert in zip(seeds, stack, outcomes):
             reference = reference_dual(lam, magnitude, seed)
             assert same_bits(family, reference)
             dual = random_alternate_dual(lam, magnitude, seed)

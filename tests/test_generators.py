@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gframes import generators
 from gframes.errors import EpsilonOutOfRangeError, GFrameError, NotAFrameError
-from gframes.model import GFrame, frame_operator, total_frobenius_energy, validate_frame
+from gframes.model import GFrame, frame_matrices, frame_operator, total_frobenius_energy, validate_frame
 from gframes.generators import (
     embed_vector_frame,
     in_batches,
@@ -267,8 +267,8 @@ class TestRandomParsevalBatches:
             companions = parseval_companions(n, counts, seeds)
         # Every seed's draw is factored in one stacked QR, and no S is decomposed.
         assert calls == ["qr"]
-        assert len(companions.families) == len(seeds)
-        for seed, family in zip(seeds, companions.families):
+        assert companions.shape == (len(seeds), sum(counts), n) and not companions.flags.writeable
+        for seed, family in zip(seeds, companions):
             reference = reference_companion(n, counts, seed)
             assert same_bits(family, reference)
             companion = random_parseval_gframe(n, counts, seed)
@@ -278,7 +278,7 @@ class TestRandomParsevalBatches:
 
     def test_one_seed_case(self):
         companions = parseval_companions(3, (2, 2), [7])
-        assert same_bits(companions.families[0], random_parseval_gframe(3, (2, 2), seed=7).stacked)
+        assert same_bits(companions[0], random_parseval_gframe(3, (2, 2), seed=7).stacked)
 
     def test_zero_column_draw_gives_a_parseval_companion(self, monkeypatch):
         # A zero column is a zero pivot of R, whose phase is taken as 1: Q keeps
@@ -310,11 +310,11 @@ class TestRandomParsevalBatches:
             alone = random_parseval_gframe(3, (2, 2), seed=bad)
         assert calls_stacked == [(s, 0) for s in seeds]
         assert calls == [(bad, 0)]
-        for seed, family, s in zip(seeds, companions.families, companions.s):
+        for seed, family, s in zip(seeds, companions, frame_matrices(companions)):
             assert np.linalg.norm(s - np.eye(3)) <= 1e-14 * 3
             if seed != bad:
                 assert same_bits(family, reference_companion(3, (2, 2), seed))
-        assert same_bits(alone.stacked, companions.families[seeds.index(bad)])
+        assert same_bits(alone.stacked, companions[seeds.index(bad)])
 
     def test_ill_conditioned_draw_gives_a_parseval_companion(self, monkeypatch):
         # A draw with kappa(T) = 1e4 has kappa(S) = 1e8. Its polar factor
@@ -329,7 +329,7 @@ class TestRandomParsevalBatches:
 
         monkeypatch.setattr(generators, "complex_gaussian_stack", ill_conditioned_stack)
         companions = parseval_companions(6, (3, 3), [1, 2, 3])
-        for s in companions.s:
+        for s in frame_matrices(companions):
             assert np.linalg.norm(s - np.eye(6)) <= 1e-14 * 6
 
     def test_failed_stacked_step_stays_with_its_seed(self, monkeypatch):
@@ -379,9 +379,9 @@ class TestCompanionDistribution:
     def test_moments_match_haar(self, n, counts):
         k = sum(counts)
         companions = parseval_companions(n, counts, list(range(1000, 3000)))
-        q = companions.families
+        q = companions
         # Every family is Parseval at round-off, so the mean of |Q_ij|^2 is 1/K exactly.
-        defects = np.sqrt((np.abs(companions.s - np.eye(n)) ** 2).sum(axis=(1, 2)))
+        defects = np.sqrt((np.abs(frame_matrices(companions) - np.eye(n)) ** 2).sum(axis=(1, 2)))
         assert defects.max() <= 1e-14 * n
         squares = np.abs(q) ** 2
         assert np.abs(squares.mean(axis=(1, 2)) - 1.0 / k).max() <= 1e-14 / k

@@ -19,13 +19,17 @@ from gframes.linalg import frobenius_norm_sq
 from gframes.identities import (
     canonical_dual_gap,
     frobenius_dual_decomposition,
+    frobenius_dual_terms,
     parseval_approx_decomposition,
+    parseval_approx_terms,
     parseval_frobenius_budget,
     parseval_gap,
     parseval_weighted_energy,
     pointwise_dual_decomposition,
+    pointwise_dual_terms,
     power_trace_identity,
     require_parseval,
+    weighted_energies,
 )
 from gframes.duals import dual_proximity_bound, parseval_proximity_bound, random_alternate_dual
 from gframes.generators import (
@@ -271,7 +275,7 @@ class TestFrobeniusDualDecomposition:
 
 
 class TestStackedDualDecompositions:
-    """A (B, K, n) stack of duals and an n x m block of probes give each per-dual call's terms, bit for bit."""
+    """The dual cores on a (B, K, n) stack of duals and an n x m block of probes give each one-dual call's terms, bit for bit."""
 
     @staticmethod
     def duals_of(lam, seeds):
@@ -281,7 +285,7 @@ class TestStackedDualDecompositions:
     def test_frobenius_stack_equals_each_call(self, n, counts):
         lam = random_gframe(n, counts, seed=n)
         frames = self.duals_of(lam, [1, 2, 3])
-        total, canonical, residual = frobenius_dual_decomposition(lam, np.stack([d.stacked for d in frames]))
+        total, canonical, residual = frobenius_dual_terms(lam, np.stack([d.stacked for d in frames]))
         for b, dual in enumerate(frames):
             assert (float(total[b]), canonical, float(residual[b])) == frobenius_dual_decomposition(lam, dual)
 
@@ -291,9 +295,9 @@ class TestStackedDualDecompositions:
         frames = self.duals_of(lam, [4, 5, 6])
         stack = np.stack([d.stacked for d in frames])
         x = random_complex(rng, n, len(frames))
-        paired = pointwise_dual_decomposition(lam, stack, x)
-        one_dual = pointwise_dual_decomposition(lam, frames[1], x)
-        one_vector = pointwise_dual_decomposition(lam, stack, x[:, 2])
+        paired = pointwise_dual_terms(lam, stack, x)
+        one_dual = pointwise_dual_terms(lam, frames[1].stacked[np.newaxis], x)
+        one_vector = pointwise_dual_terms(lam, stack, x[:, 2:3])
         for b, dual in enumerate(frames):
             assert tuple(float(term[b]) for term in paired) == pointwise_dual_decomposition(lam, dual, x[:, b])
             assert tuple(float(term[b]) for term in one_dual) == pointwise_dual_decomposition(
@@ -301,24 +305,11 @@ class TestStackedDualDecompositions:
             assert tuple(float(term[b]) for term in one_vector) == pointwise_dual_decomposition(
                 lam, dual, x[:, 2])
 
-    def test_non_dual_slice_raises_its_own_error(self):
-        lam = random_gframe(3, (2, 2), seed=28)
-        frames = self.duals_of(lam, [7]) + [lam]
-        stack = np.stack([d.stacked for d in frames])
-        with pytest.raises(NotADualError) as alone:
-            frobenius_dual_decomposition(lam, lam)
-        for call in (lambda: frobenius_dual_decomposition(lam, stack),
-                     lambda: pointwise_dual_decomposition(lam, stack, np.ones((3, 3)))):
-            with pytest.raises(NotADualError) as stacked:
-                call()
-            assert str(stacked.value) == str(alone.value)
-
-    def test_rejects_stack_of_other_shape(self):
+    def test_rejects_a_block_of_probes(self):
+        # The public decomposition takes one vector; blocks of probes go to the core.
         lam = random_gframe(3, (2, 2), seed=29)
-        with pytest.raises(ValueError, match="must have shape"):
-            frobenius_dual_decomposition(lam, canonical_dual(lam).stacked)
-        with pytest.raises(ValueError, match="must have 3 rows"):
-            pointwise_dual_decomposition(lam, canonical_dual(lam), np.ones((2, 4)))
+        with pytest.raises(ValueError, match=r"^x must be one-dimensional, got shape \(3, 4\)$"):
+            pointwise_dual_decomposition(lam, canonical_dual(lam), np.ones((3, 4)))
 
 
 GOLDEN_FRAMES = sorted((Path(__file__).parent / "data" / "golden").glob("*.frame.json"))
@@ -329,13 +320,13 @@ def float_bits(*values):
 
 
 class TestStackedParsevalIdentities:
-    """A (B, K, n) stack of Parseval families gives each one-family call's terms, bit for bit."""
+    """The Parseval cores on a (B, K, n) stack of Parseval families give each one-family call's terms, bit for bit."""
 
     @staticmethod
     def assert_stack_equals_each_call(lam, families, weight):
         stack = np.stack([g.stacked for g in families])
-        energies = parseval_weighted_energy(weight, stack)
-        total, gap, cross = parseval_approx_decomposition(lam, stack)
+        energies = weighted_energies(weight, stack)
+        total, gap, cross = parseval_approx_terms(lam, stack)
         assert energies.shape == total.shape == cross.shape == (len(families),)
         for b, g in enumerate(families):
             assert float_bits(energies[b]) == float_bits(parseval_weighted_energy(weight, g))
@@ -363,26 +354,19 @@ class TestStackedParsevalIdentities:
         weight = random_complex(np.random.default_rng(seed), weight_rows, n)
         self.assert_stack_equals_each_call(lam, families, weight)
 
-    def test_non_parseval_slice_raises_its_own_error(self):
-        lam = random_gframe(3, (2, 2), seed=30)
-        stack = np.stack([random_parseval_gframe(3, (2, 2), seed=31).stacked, lam.stacked])
-        with pytest.raises(NotParsevalError) as alone:
-            parseval_approx_decomposition(lam, lam)
-        with pytest.raises(NotParsevalError) as stacked:
-            parseval_approx_decomposition(lam, stack)
-        assert str(stacked.value) == str(alone.value)
-        with pytest.raises(NotParsevalError, match=r"^frame is not Parseval"):
-            parseval_weighted_energy(np.eye(3), stack)
 
-    def test_rejects_stack_of_other_shape(self):
-        lam = random_gframe(3, (2, 2), seed=32)
-        companion = random_parseval_gframe(3, (1, 1, 1), seed=33)
-        with pytest.raises(ValueError, match="must have shape"):
-            parseval_approx_decomposition(lam, companion.stacked[np.newaxis])
-        with pytest.raises(ValueError, match="must have shape"):
-            parseval_weighted_energy(np.eye(3), companion.stacked)
-        with pytest.raises(ValueError, match="weight must have 3 columns"):
-            parseval_weighted_energy(np.eye(2), companion.stacked[np.newaxis])
+class TestPublicIdentitiesReturnFloats:
+    """Each public identity takes frames and one vector and returns Python floats."""
+
+    @pytest.mark.parametrize("call", [
+        lambda f: (parseval_weighted_energy(np.eye(4), canonical_parseval(f)),),
+        lambda f: parseval_approx_decomposition(f, canonical_parseval(f)),
+        lambda f: pointwise_dual_decomposition(f, canonical_dual(f), np.ones(4)),
+        lambda f: frobenius_dual_decomposition(f, canonical_dual(f)),
+    ], ids=["weighted-energy", "parseval-approx", "pointwise-dual", "frobenius-dual"])
+    def test_terms_are_floats(self, call):
+        terms = call(_np_frame())
+        assert terms and all(type(term) is float for term in terms)
 
 
 class TestVectorFrameEmbedding:

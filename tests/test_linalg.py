@@ -9,10 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gframes.errors import ConvergenceError, NotAFrameError
-from gframes.linalg import frobenius_norm_sq, hermitian_eig
+from gframes.linalg import as_matrix, as_vector, frobenius_norm_sq, hermitian_eig
 from gframes.model import RANK_TOLERANCE, FrameOperator
 
 from conftest import random_complex, random_hermitian, random_spd
+
+
+@pytest.mark.parametrize("coerce, value, message", [
+    (as_matrix, np.ones(3), r"^matrix must be two-dimensional, got shape \(3,\)$"),
+    (as_matrix, np.ones((0, 2)), r"^matrix must have positive dimensions, got shape \(0, 2\)$"),
+    (as_vector, np.ones((2, 2)), r"^vector must be one-dimensional, got shape \(2, 2\)$"),
+    (as_vector, np.array([1.0, np.nan]), r"^vector contains non-finite entries$"),
+], ids=["matrix-not-2d", "matrix-zero-size", "vector-not-1d", "vector-non-finite"])
+def test_coercion_refuses_malformed_input(coerce, value, message):
+    with pytest.raises(ValueError, match=message):
+        coerce(value)
 
 
 class TestFrobenius:

@@ -60,6 +60,17 @@ class TestGFrame:
         with pytest.raises(ValueError):
             GFrame([np.array([[np.inf, 0.0]])])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GFrame([np.eye(2), np.ones(2)]), r"^operator 1 must be a matrix, got shape \(2,\)$"),
+        (lambda: GFrame([np.ones((0, 2))]), r"^operator 0 must have positive dimensions$"),
+        (lambda: GFrame([np.ones((1, 2))], dim_h=0), r"^dim_h must be positive, got 0$"),
+        (lambda: GFrame.from_stacked(np.ones(3), (1,)),
+         r"^stacked operators must form a matrix with columns, got shape \(3,\)$"),
+    ], ids=["operator-not-a-matrix", "operator-zero-size", "dim-h-zero", "from-stacked-1d"])
+    def test_rejects_malformed_operators(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_operators_are_immutable(self):
         f = orthonormal_rows_frame()
         with pytest.raises(ValueError):

@@ -166,6 +166,16 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(extremal_frame(2, 0.1), "nope")
 
+    @pytest.mark.parametrize("trials", [100_001, 10**20])
+    def test_refuses_trials_beyond_the_cap(self, monkeypatch, trials):
+        # Refused before any draw: each child seed is drawn from a stream, and none is made.
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was made")
+
+        monkeypatch.setattr(report, "stream", no_stream)
+        with pytest.raises(ValueError, match=rf"^trials must be at most 100000, got {trials}$"):
+            run_suite(extremal_frame(2, 0.1), "all", trials=trials)
+
     def test_deterministic_per_seed(self):
         f = nearly_parseval_gframe(3, (2, 2), 0.2, seed=10)
         r1 = run_suite(f, "all", trials=3, seed=11)
@@ -422,24 +432,23 @@ class TestDualBatches:
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
         if per_batch:
             batches_of(monkeypatch, per_batch)
-        real = report.frobenius_dual_decomposition
+        real = report.frobenius_dual_terms
         trial_duals = []
 
-        def recording(lam, gam):
-            if not isinstance(gam, GFrame):  # a DualStack of the trials' certified duals
-                trial_duals.extend(gam.families)
-            return real(lam, gam)
+        def recording(lam, duals):  # only the trials call the core, on their certified duals
+            trial_duals.extend(duals)
+            return real(lam, duals)
 
-        monkeypatch.setattr(report, "frobenius_dual_decomposition", recording)
+        monkeypatch.setattr(report, "frobenius_dual_terms", recording)
         good = run_suite(f, "all", trials=4, seed=7)
         third = trial_duals[2]  # the dual built for dual-trial[trial=2]
 
-        def flaky(lam, gam):
-            if not isinstance(gam, GFrame) and any(np.array_equal(d, third) for d in gam.families):
+        def flaky(lam, duals):
+            if any(np.array_equal(d, third) for d in duals):
                 raise PostconditionError("injected")
-            return real(lam, gam)
+            return real(lam, duals)
 
-        monkeypatch.setattr(report, "frobenius_dual_decomposition", flaky)
+        monkeypatch.setattr(report, "frobenius_dual_terms", flaky)
         bad = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "all", trials=4, seed=7)
         assert [c.name for c in bad.checks if "[error: " in c.name] == [
             "dual-trial[trial=2] [error: PostconditionError: injected]"]
@@ -449,29 +458,25 @@ class TestDualBatches:
     def test_failed_duals_make_no_redo_calls(self, monkeypatch):
         # Every dual fails its check. certified_duals raises, in_batches redoes
         # the builder seed by seed, and the identities are not called for a
-        # trial: the only calls left are the canonical rows', one per identity.
+        # trial: the only calls left are the canonical rows', one per identity
+        # (the Frobenius row calls the public decomposition, the pointwise row
+        # the core on the canonical dual).
         poison_duals(monkeypatch, lambda seed: True)
         want = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "duals", trials=10, seed=7)
-        calls = {"frobenius": 0, "pointwise": 0}
-        real_frobenius = report.frobenius_dual_decomposition
-        real_pointwise = report.pointwise_dual_decomposition
+        names = ("frobenius_dual_decomposition", "frobenius_dual_terms", "pointwise_dual_terms")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, name=name, real=getattr(report, name)):
+                calls[name] += 1
+                return real(*args)
 
-        def frobenius(*args):
-            calls["frobenius"] += 1
-            return real_frobenius(*args)
-
-        def pointwise(*args):
-            calls["pointwise"] += 1
-            return real_pointwise(*args)
-
-        monkeypatch.setattr(report, "frobenius_dual_decomposition", frobenius)
-        monkeypatch.setattr(report, "pointwise_dual_decomposition", pointwise)
+            monkeypatch.setattr(report, name, counting)
         got = run_suite(load_frame(GOLDEN_NEARLY_PARSEVAL), "duals", trials=10, seed=7)
         assert got.checks == want.checks
         assert [c.name.split(" [error")[0] for c in got.checks if "[error: NotADualError: " in c.name] == [
             f"dual-trial[trial={j}]" for j in range(10)]
         # All 10 trials fit one batch, and no dual is certified.
-        assert calls == {"frobenius": 1, "pointwise": 1}
+        assert calls == {"frobenius_dual_decomposition": 1, "frobenius_dual_terms": 0, "pointwise_dual_terms": 1}
 
     def test_trial_draws_depend_on_seed_and_index_alone(self, monkeypatch):
         f = load_frame(GOLDEN_NEARLY_PARSEVAL)
@@ -516,20 +521,20 @@ class TestChecksOncePerFamily:
 
         def parseval_stack(p, family):
             made = real_companions(p, family)
-            companions.append(made[0])
+            companions.append(p)
             return made
 
         monkeypatch.setattr(model, "dual_residuals", dual_residuals)
         monkeypatch.setattr(model, "frame_matrices", frame_matrices)
-        monkeypatch.setattr(identities, "frame_matrices", frame_matrices)
         monkeypatch.setattr(generators, "parseval_stack", parseval_stack)
         got = run_suite(f, "all", trials=trials, seed=7)
         assert got.checks == want.checks
         canonical = canonical_dual(f).stacked
         of_canonical = [d for d in residual_stacks if len(d) == 1 and np.array_equal(d[0], canonical)]
         # The canonical dual's residual is formed by its postcondition, by the dual-equation-canonical
-        # row and by each of the two canonical decompositions, which check the dual they are given.
-        assert len(of_canonical) == 4
+        # row and by the public Frobenius decomposition, which checks the dual it is given (was 4).
+        # The pointwise row calls the core on canonical_dual's output, which passed its check.
+        assert len(of_canonical) == 3
         # Each trial's dual is one slice of one residual stack, its builder's (was 3).
         assert sum(len(d) for d in residual_stacks) - len(of_canonical) == trials
         # Per batch, S' of the companions is formed once, by their postcondition parseval_stack (was twice).

@@ -89,3 +89,12 @@ def test_substream_beyond_the_counter_is_refused():
     stream(7, 2**128 - 1)
     with pytest.raises(ValueError, match=r"^substream must be below 2\*\*128, got 340282366920938463463374607431768211456$"):
         stream(7, 2**128)
+
+
+@pytest.mark.parametrize("seed, substream, message", [
+    (-1, 0, r"^seed must be non-negative, got -1$"),
+    (7, -1, r"^substream must be non-negative, got -1$"),
+], ids=["seed", "substream"])
+def test_negative_seed_or_substream_is_refused(seed, substream, message):
+    with pytest.raises(ValueError, match=message):
+        stream(seed, substream)
