@@ -77,7 +77,7 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     verify_alternate_dual(lam, dual) forms it again.
     """
     duals, _ = certified_duals(lam, magnitude, [seed])
-    return GFrame.from_stacked(duals[0], lam.counts)
+    return lam.derived(duals[0])
 
 
 def _require_epsilon(f: GFrame) -> tuple[float, float, int]:

@@ -162,7 +162,7 @@ def nearly_parseval_gframe(n: int, counts, epsilon: float, seed: int) -> GFrame:
         mu[1:-1] = 1.0 - epsilon + 2.0 * epsilon * gen.random(n - 2)
     q = random_unitary(gen, n)
     shaper = (q * np.sqrt(mu)) @ q.conj().T
-    return GFrame.from_stacked(parseval.stacked @ shaper, parseval.counts)
+    return parseval.derived(parseval.stacked @ shaper)
 
 
 def embed_vector_frame(vectors) -> GFrame:

@@ -12,13 +12,14 @@ proximity bounds is duals.proximity_slack, and report rows with no identity
 behind them keep their own tolerance in report.
 
 The public operations take GFrames and one vector, check them, and return
-floats. The companion identities each run on a stacked core
-(weighted_energies, parseval_approx_terms, pointwise_dual_terms,
-frobenius_dual_terms) that takes a (B, K, n) stack of families and returns
-the terms that vary with the family as length-B arrays. A one-frame call is
-its core on the stack of that one frame, so it and a batch run the same
-arithmetic, bit for bit. The cores check no input: the report suites pass
-them the stacks a builder has just checked.
+floats; the four companion identities raise TypeError for a family given
+as anything but a GFrame (an array, say). The companion identities each
+run on a stacked core (weighted_energies, parseval_approx_terms,
+pointwise_dual_terms, frobenius_dual_terms) that takes a (B, K, n) stack
+of families and returns the terms that vary with the family as length-B
+arrays. A one-frame call is its core on the stack of that one frame, so it
+and a batch run the same arithmetic, bit for bit. The cores check no
+input: the report suites pass them the stacks a builder has just checked.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def require_parseval(g: GFrame, name: str = "frame") -> None:
         )
 
 
+def _require_gframes(**frames) -> None:
+    """Raise TypeError naming the first argument that is not a GFrame, and its type."""
+    for name, value in frames.items():
+        if not isinstance(value, GFrame):
+            raise TypeError(f"{name} must be a GFrame, got {type(value).__name__}")
+
+
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise PostconditionError(message)
@@ -75,6 +83,7 @@ def parseval_weighted_energy(weight, g: GFrame) -> float:
     The value is independent of the particular Parseval family and equals
     ||W||_F^2; the weight must act on the domain, i.e. have dim_h columns.
     """
+    _require_gframes(g=g)
     w = as_matrix(weight, "weight", require_finite=True)
     require_parseval(g)
     if w.shape[1] != g.dim_h:
@@ -156,6 +165,7 @@ def parseval_approx_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, floa
     with total = canonical_gap + cross_term; the cross term vanishes exactly
     when gam is the canonical Parseval family of lam.
     """
+    _require_gframes(lam=lam, gam=gam)
     validate_frame(lam)
     require_matching_shapes(lam, gam)
     require_parseval(gam, "second family")
@@ -241,6 +251,7 @@ def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, fl
     with total = canonical + residual; the residual vanishes when gam is the
     canonical dual.
     """
+    _require_gframes(lam=lam, gam=gam)
     validate_frame(lam)
     verify_alternate_dual(lam, gam).require()
     vec = as_vector(x, lam.dim_h, "x")
@@ -293,6 +304,7 @@ def frobenius_dual_decomposition(lam: GFrame, gam: GFrame) -> tuple[float, float
     with total = canonical + residual; canonical matches the spectral form
     sum_k (lambda_k - 1)^2 / lambda_k.
     """
+    _require_gframes(lam=lam, gam=gam)
     validate_frame(lam)
     verify_alternate_dual(lam, gam).require()
     total, canonical, residual = frobenius_dual_terms(lam, gam.stacked[np.newaxis])

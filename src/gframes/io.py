@@ -10,6 +10,9 @@ one orjson dump with OPT_INDENT_2, each value in the shortest digits that
 parse back to it (1e-05 as 0.00001, 1e+16 as 1e16), so a round trip
 reproduces every entry. Documents are parsed with orjson alone: RFC 8259
 JSON, numbers within the double range, nesting at most MAX_ORJSON_DEPTH deep.
+Each grid of a parsed document is read as one float64 array. numpy reads
+true and false as 1.0 and 0.0 and every other non-number as another dtype,
+so only a grid holding a 0 or 1 has the type of each entry checked.
 """
 
 from __future__ import annotations
@@ -92,11 +95,33 @@ def _all_instances(values, cls) -> bool:
     return all(map(isinstance, values, repeat(cls)))
 
 
+def _float_grid(rows: list, dim_h: int) -> np.ndarray | None:
+    """rows, lists of dim_h entries each, as one float64 array; None unless numpy reads them as exactly that.
+
+    numpy reads strings, None, containers and integers beyond 64 bits as
+    another dtype or shape, or refuses them as ragged. Of the values a JSON
+    parser returns, only true and false also read as float64, as exactly 1.0
+    and 0.0, so only a grid holding an entry equal to 0 or 1 has the types of
+    its entries checked (exact float).
+    """
+    if not rows:
+        return np.empty((0, dim_h))
+    try:
+        grid = np.array(rows)
+    except ValueError:  # an entry is a container, so the shape is ragged
+        return None
+    if grid.dtype != np.float64 or grid.shape != (len(rows), dim_h):
+        return None
+    if ((grid == 0.0) | (grid == 1.0)).any() and set(map(type, chain.from_iterable(rows))) - {float}:
+        return None
+    return grid
+
+
 def _read_bulk(raw_ops: list, dim_h: int):
     """_read_checked's result, with every check run over all operators at once; None on any fault.
 
-    The entries must all be exact floats here; their finiteness is left to
-    the caller, which has them as one array.
+    Each of the "re" and "im" grids is read as one float64 array
+    (_float_grid); their finiteness is left to the caller.
     """
     if not _all_instances(raw_ops, dict):
         return None
@@ -104,29 +129,33 @@ def _read_bulk(raw_ops: list, dim_h: int):
     if not _all_instances(counts, int) or any(map(isinstance, counts, repeat(bool))) or min(counts) < 1:
         return None
     has_im = list(map(dict.__contains__, raw_ops, repeat("im")))
-    parts = []
+    grids = []
     for key, ops, rows in (("re", raw_ops, counts),
                            ("im", compress(raw_ops, has_im), list(compress(counts, has_im)))):
-        grids = list(map(dict.get, ops, repeat(key)))
-        if not _all_instances(grids, list) or list(map(len, grids)) != rows:
+        blocks = list(map(dict.get, ops, repeat(key)))
+        if not _all_instances(blocks, list) or list(map(len, blocks)) != rows:
             return None
-        part = list(chain.from_iterable(grids))
+        part = list(chain.from_iterable(blocks))
         if not _all_instances(part, list) or set(map(len, part)) - {dim_h}:
             return None
-        if set(map(type, chain.from_iterable(part))) - {float}:
+        grid = _float_grid(part, dim_h)
+        if grid is None:
             return None
-        parts.append(part)
-    return counts, parts[0], parts[1], has_im
+        grids.append(grid)
+    return counts, grids[0], grids[1], has_im
 
 
 def frame_from_dict(doc) -> GFrame:
     """The frame of an interchange document; FrameFormatError names its first fault in document order.
 
-    The structure of every operator and the type of every entry are checked
-    at once (_read_bulk), and the finiteness of the entries on their array.
-    Only a document that fails there is read again operator by operator
-    (_read_checked), which names the fault or, for int and float-subclass
-    entries, reads them as their value.
+    doc holds the values a JSON parser returns. The structure of every
+    operator is checked at once, and each of the "re" and "im" grids is read
+    as one float64 array, whose entry types are checked only where numpy may
+    have read a true or false, in a grid holding a 0 or 1 (_read_bulk); the
+    finiteness of the entries is checked on their array. Only a document
+    that fails there is read again operator by operator (_read_checked),
+    which names the fault or reads the int and float-subclass entries the
+    bulk read left to it as their value.
     """
     if not isinstance(doc, dict):
         raise FrameFormatError("frame document must be a JSON object")
@@ -137,9 +166,9 @@ def frame_from_dict(doc) -> GFrame:
     if not isinstance(raw_ops, list) or not raw_ops:
         raise FrameFormatError("operators must be a non-empty list")
     counts, re_rows, im_rows, has_im = _read_bulk(raw_ops, dim_h) or _read_checked(raw_ops, dim_h)
-    t = np.array(re_rows, dtype=np.float64).astype(np.complex128)
-    if im_rows:
-        t.imag[np.repeat(has_im, counts)] = np.array(im_rows, dtype=np.float64)
+    t = np.asarray(re_rows, dtype=np.float64).astype(np.complex128)
+    if any(has_im):
+        t.imag[np.repeat(has_im, counts)] = np.asarray(im_rows, dtype=np.float64)
     if not np.isfinite(t).all():
         _read_checked(raw_ops, dim_h)  # raises, naming the first non-finite entry
     return GFrame.from_stacked(t, counts)

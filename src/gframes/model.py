@@ -37,6 +37,11 @@ class GFrame:
     array, the analysis operator T (`stacked`); `operators` are read-only
     views of those blocks. S and both canonical families are memoized once
     they are built and pass their check; no check's outcome is kept.
+
+    Arrays from outside are copied and their counts checked (`from_stacked`).
+    A frame derived from this one (`derived`: the canonical families, shaped
+    and dual frames) adopts its fresh product as T and shares this frame's
+    counts and offsets, which were checked when it was built.
     """
 
     __slots__ = ("_stacked", "_counts", "_offsets", "_frame_op", "_parseval", "_dual")
@@ -73,17 +78,32 @@ class GFrame:
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValueError(f"stacked operators must form a matrix with columns, got shape {t.shape}")
         f = cls.__new__(cls)
-        f._setup(t, counts)
-        f._frame_op = frame_op
+        f._setup(t, counts, frame_op)
         return f
 
-    def _setup(self, t: np.ndarray, counts) -> None:
+    def derived(self, t: np.ndarray, *, frame_op: FrameOperator | None = None) -> GFrame:
+        """Frame whose analysis operator is t itself, made read-only, cut into this frame's blocks.
+
+        t is a fresh K x n complex product that nothing else holds, so it is
+        not copied, and this frame's counts and offsets are shared. `frame_op`
+        is as in from_stacked. Raises ValueError naming the first operator
+        with a non-finite entry.
+        """
+        f = GFrame.__new__(GFrame)
+        f._adopt(t, self._counts, self._offsets, frame_op)
+        return f
+
+    def _setup(self, t: np.ndarray, counts, frame_op: FrameOperator | None = None) -> None:
         counts = tuple(int(k) for k in counts)
         if not counts or min(counts) < 1 or sum(counts) != t.shape[0]:
             raise ValueError(
                 f"counts {list(counts)} must be positive and add up to the {t.shape[0]} rows"
             )
-        offsets = (0, *np.cumsum(counts).tolist())
+        self._adopt(t, counts, (0, *np.cumsum(counts).tolist()), frame_op)
+
+    def _adopt(self, t: np.ndarray, counts: tuple[int, ...], offsets: tuple[int, ...],
+               frame_op: FrameOperator | None) -> None:
+        """Hold t, made read-only, as T with checked counts and offsets; ValueError names an operator with a non-finite entry."""
         bad_rows = np.flatnonzero(~np.isfinite(t).all(axis=1))
         if bad_rows.size:
             idx = int(np.searchsorted(offsets, bad_rows[0], side="right")) - 1
@@ -92,7 +112,8 @@ class GFrame:
         self._stacked = t
         self._counts = counts
         self._offsets = offsets
-        self._frame_op = self._parseval = self._dual = None
+        self._frame_op = frame_op
+        self._parseval = self._dual = None
 
     @property
     def dim_h(self) -> int:
@@ -307,7 +328,7 @@ def canonical_parseval(f: GFrame) -> GFrame:
     if f._parseval is None:
         p = f.stacked @ frame_operator(f).power(-0.5)
         s = parseval_stack(p, "canonical Parseval frame")
-        f._parseval = GFrame.from_stacked(p, f.counts, frame_op=FrameOperator(s))
+        f._parseval = f.derived(p, frame_op=FrameOperator(s))
     return f._parseval
 
 
@@ -319,7 +340,7 @@ def canonical_dual(f: GFrame) -> GFrame:
     passes is memoized per frame.
     """
     if f._dual is None:
-        d = GFrame.from_stacked(f.stacked @ frame_operator(f).power(-1.0), f.counts)
+        d = f.derived(f.stacked @ frame_operator(f).power(-1.0))
         cert = verify_alternate_dual(f, d)
         if not cert.passed:
             raise PostconditionError(

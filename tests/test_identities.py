@@ -368,6 +368,16 @@ class TestPublicIdentitiesReturnFloats:
         terms = call(_np_frame())
         assert terms and all(type(term) is float for term in terms)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda f: parseval_weighted_energy(np.eye(4), canonical_parseval(f).stacked), "g"),
+        (lambda f: parseval_approx_decomposition(f, canonical_parseval(f).stacked), "gam"),
+        (lambda f: pointwise_dual_decomposition(f.stacked, canonical_dual(f), np.ones(4)), "lam"),
+        (lambda f: frobenius_dual_decomposition(f, canonical_dual(f).stacked), "gam"),
+    ], ids=["weighted-energy", "parseval-approx", "pointwise-dual", "frobenius-dual"])
+    def test_an_array_in_place_of_a_frame_is_a_type_error(self, call, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be a GFrame, got ndarray$"):
+            call(_np_frame())
+
 
 class TestVectorFrameEmbedding:
     def test_classical_sum_matches_embedding(self, rng):

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 import gframes
 from gframes import io as frame_io
 from gframes.cli import main
+from gframes.duals import extremal_frame
 from gframes.errors import FrameFormatError
 from gframes.io import frame_from_dict, frame_to_dict, load_frame, save_frame, write_frame
 from gframes.generators import nearly_parseval_gframe, random_gframe
@@ -223,6 +224,7 @@ def test_signed_zeros_survive_the_round_trip(f, zeros):
 BAD_ENTRIES = [
     ("x", "is not a number"),
     (True, "is not a number"),
+    (False, "is not a number"),
     (None, "is not a number"),
     (math.nan, "is not finite"),
     (math.inf, "is not finite"),
@@ -230,17 +232,46 @@ BAD_ENTRIES = [
 ]
 
 
-@settings(deadline=None, max_examples=80)
-@given(f=frames(max_operators=8), data=st.data())
-def test_first_bad_entry_is_named(f, data):
+@st.composite
+def entry_sites(draw):
+    """(document, (operator index, part, row, column)): a frame's document and the site of one of its entries."""
+    f = draw(frames(max_operators=8))
     doc = frame_to_dict(f)
-    idx = data.draw(st.integers(min_value=0, max_value=len(f) - 1))
+    idx = draw(st.integers(min_value=0, max_value=len(f) - 1))
     entry = doc["operators"][idx]
-    part = data.draw(st.sampled_from([p for p in ("re", "im") if p in entry]))
-    r = data.draw(st.integers(min_value=0, max_value=entry["rows"] - 1))
-    c = data.draw(st.integers(min_value=0, max_value=doc["dim_h"] - 1))
-    bad, complaint = data.draw(st.sampled_from(BAD_ENTRIES))
-    entry[part][r][c] = bad
+    part = draw(st.sampled_from([p for p in ("re", "im") if p in entry]))
+    r = draw(st.integers(min_value=0, max_value=entry["rows"] - 1))
+    c = draw(st.integers(min_value=0, max_value=doc["dim_h"] - 1))
+    return doc, (idx, part, r, c)
+
+
+def unit_entry_document(*ints):
+    """The document of extremal_frame(3, 0.0), whose entries are exact 1.0 and 0.0, with imaginary
+    parts -0.0, 1.0 and 0.0 in operator 1, and then each (operator, part, row, column, int) of ints set.
+
+    Every grid holds entries equal to 0 or 1, the values numpy reads false and true as.
+    """
+    t = extremal_frame(3, 0.0).stacked.copy()
+    t.imag[1] = [-0.0, 1.0, 0.0]
+    doc = frame_to_dict(GFrame.from_stacked(t, (1, 1, 1)))
+    for idx, part, r, c, value in ints:
+        doc["operators"][idx][part][r][c] = value
+    return doc
+
+
+@settings(deadline=None, max_examples=80)
+@given(site=entry_sites(), bad=st.sampled_from(BAD_ENTRIES))
+@example(site=(unit_entry_document(), (0, "re", 0, 0)), bad=(True, "is not a number"))
+@example(site=(unit_entry_document(), (1, "im", 0, 0)), bad=(False, "is not a number"))
+@example(site=(unit_entry_document((1, "re", 0, 1, 1), (1, "re", 0, 2, 0)), (1, "re", 0, 0)),
+         bad=(False, "is not a number"))
+@example(site=(unit_entry_document((1, "im", 0, 0, 0), (2, "re", 0, 2, 1)), (1, "im", 0, 1)),
+         bad=(True, "is not a number"))
+def test_first_bad_entry_is_named(site, bad):
+    # Setting the same entry again is harmless, so an example's document may be reused.
+    doc, (idx, part, r, c) = site
+    value, complaint = bad
+    doc["operators"][idx][part][r][c] = value
     with pytest.raises(FrameFormatError) as exc:
         frame_from_dict(doc)
     assert str(exc.value) == f"operators[{idx}].{part}[{r}][{c}] {complaint}"
@@ -259,16 +290,18 @@ def reference_stacked(doc):
 @settings(deadline=None, max_examples=40)
 @given(f=frames(max_operators=8), data=st.data())
 def test_int_and_float64_entries_load_exactly(f, data):
-    # np.float64 is a float subclass and int is not a float, so rows holding
-    # either are checked entry by entry and must still load their values.
+    # np.float64 is a float subclass and int is not a float. A grid holding
+    # either loads in one numpy call, or, beside a 0.0, -0.0 or 1.0 (the values
+    # numpy reads false and true as), entry by entry; both must load the values.
     doc = frame_to_dict(f)
     as_int = st.integers(min_value=-(2**70), max_value=2**70)
+    units = st.sampled_from([0.0, -0.0, 1.0])
     for entry in doc["operators"]:
         for part in ("re", "im"):
             for row in entry.get(part, []):
                 for c, x in enumerate(row):
-                    row[c] = data.draw(st.one_of(st.just(x), st.just(np.float64(x)), as_int))
-    assert np.array_equal(frame_from_dict(doc).stacked, reference_stacked(doc))
+                    row[c] = data.draw(st.one_of(st.just(x), st.just(np.float64(x)), as_int, units))
+    assert np.array_equal(frame_from_dict(doc).stacked.view(np.uint64), reference_stacked(doc).view(np.uint64))
 
 
 NUMBER_FAULTS = {"bool": True, "string": "0.5", "nan": math.nan, "infinity": math.inf, "huge": 10**400}

@@ -90,6 +90,38 @@ class TestGFrame:
         assert GFrame.from_stacked(2 * np.eye(3), (1, 2)).counts == (1, 2)
 
 
+class TestDerivedFrames:
+    """A frame built from its parent's own product shares the parent's layout and adopts the product."""
+
+    @pytest.mark.parametrize("derive", [
+        canonical_parseval,
+        canonical_dual,
+        lambda f: random_alternate_dual(f, magnitude=1.0, seed=3),
+    ], ids=["canonical-parseval", "canonical-dual", "random-alternate-dual"])
+    def test_shares_counts_and_offsets_and_is_read_only(self, derive):
+        f = random_gframe(4, (2, 3, 1), seed=7)
+        g = derive(f)
+        assert g.counts is f.counts and g.offsets is f.offsets
+        assert not g.stacked.flags.writeable
+        with pytest.raises(ValueError):
+            g.stacked[0, 0] = 0.0
+
+    def test_non_finite_product_names_its_operator(self, monkeypatch):
+        # Operator 1's rows times 1e308 overflow; operator 0's stay finite.
+        f = GFrame.from_stacked(np.array([[0.5, 0.0], [0.0, 0.5], [4.0, 1.0]]), (2, 1))
+        monkeypatch.setattr(FrameOperator, "power", lambda self, a: 1e308 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"^operator 1 contains non-finite entries$"):
+            canonical_dual(f)
+
+    def test_from_stacked_copies_outside_arrays(self):
+        t = np.eye(3, dtype=np.complex128)
+        f = GFrame.from_stacked(t, (1, 2))
+        assert not np.shares_memory(f.stacked, t)
+        t[0, 0] = 5.0
+        assert f.stacked[0, 0] == 1.0 and t.flags.writeable
+
+
 class TestFrameOperator:
     def test_single_identity_operator(self):
         f = GFrame([np.eye(2)])
