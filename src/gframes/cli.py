@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .duals import extremal_frame, random_alternate_dual, verify_alternate_dual
+from .duals import certified_duals, extremal_frame
 from .errors import GFrameError, NotAFrameError
 from .generators import nearly_parseval_gframe, random_gframe, random_parseval_gframe
 from .identities import canonical_dual_gap, parseval_gap
@@ -125,10 +125,9 @@ def cmd_verify(args) -> int:
 
 def cmd_dual(args) -> int:
     frame = load_frame(args.path)
-    dual = random_alternate_dual(frame, magnitude=args.magnitude, seed=args.seed)
-    cert = verify_alternate_dual(frame, dual)  # a second check, equal to the one random_alternate_dual passed
-    canonical = canonical_dual(frame)
-    distance_sq = frobenius_norm_sq(dual.stacked - canonical.stacked)
+    duals, (cert,) = certified_duals(frame, args.magnitude, [args.seed])
+    dual = frame.derived(duals[0])
+    distance_sq = frobenius_norm_sq(dual.stacked - canonical_dual(frame).stacked)
     lines = [
         f"dual_residual: {cert.residual!r}",
         f"dual_tolerance: {cert.tolerance!r}",

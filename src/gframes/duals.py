@@ -13,7 +13,6 @@ from .model import (  # verify_alternate_dual is re-exported here
     GFrame,
     canonical_dual,
     dual_certificates,
-    frame_operator,
     validate_frame,
     verify_alternate_dual,
 )
@@ -21,14 +20,12 @@ from .rng import complex_gaussian_stack, stream
 
 
 def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndarray:
-    """canonical + delta - T S^(-1) T* delta for each seed's Gaussian delta, as a (B, K, n) stack."""
+    """canonical + delta - D T* delta for each seed's Gaussian delta, D = T S^(-1) the canonical dual, as a (B, K, n) stack."""
     if not isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
     if magnitude < 0:
         raise ValueError(f"magnitude must be non-negative, got {magnitude}")
     canonical = canonical_dual(lam).stacked
-    inv = frame_operator(lam).power(-1.0)
-    t = lam.stacked
     deltas = complex_gaussian_stack([stream(seed) for seed in seeds], lam.counts, lam.dim_h)
     row_sq = np.sum(deltas.real**2 + deltas.imag**2, axis=-1)
     norms = np.sqrt(np.add.reduceat(row_sq, lam.offsets[:-1], axis=-1))
@@ -36,9 +33,9 @@ def _perturbed_duals(lam: GFrame, magnitude: float, seeds: list[int]) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
         deltas *= np.repeat(scale, lam.counts, axis=-1)[..., np.newaxis]
-        correction = inv @ (t.conj().T @ deltas)
+        correction = canonical @ (lam.stacked.conj().T @ deltas)
         np.add(canonical, deltas, out=deltas)
-        deltas -= t @ correction
+        deltas -= correction
     return deltas
 
 
@@ -66,8 +63,8 @@ def random_alternate_dual(lam: GFrame, magnitude: float, seed: int) -> GFrame:
     """A verified alternate dual at a chosen distance scale from the canonical one.
 
     Starting from the canonical dual, each operator gains a perturbation
-    theta_i = delta_i - lam_i S^(-1) (sum_j adjoint(lam_j) delta_j) where the
-    delta_i are seeded Gaussian blocks rescaled to Frobenius norm `magnitude`.
+    theta_i = delta_i - D_i (sum_j adjoint(lam_j) delta_j), D the canonical dual,
+    where the delta_i are seeded Gaussian blocks rescaled to Frobenius norm `magnitude`.
     The projection annihilates sum(adjoint(lam_i) theta_i), so the dual
     equation survives any magnitude; magnitude 0 gives the canonical dual.
 

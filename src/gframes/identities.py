@@ -249,7 +249,8 @@ def pointwise_dual_decomposition(lam: GFrame, gam: GFrame, x) -> tuple[float, fl
       canonical  sum ||lam_i x - lam_i S^(-1) x||^2
       residual   sum ||lam_i S^(-1) x - gam_i x||^2
     with total = canonical + residual; the residual vanishes when gam is the
-    canonical dual.
+    canonical dual. Raises canonical_dual's PostconditionError when the
+    canonical dual fails its check.
     """
     _require_gframes(lam=lam, gam=gam)
     validate_frame(lam)
@@ -263,15 +264,16 @@ def pointwise_dual_terms(lam: GFrame, duals: np.ndarray, probes: np.ndarray) -> 
     """pointwise_dual_decomposition of lam for each dual of a (B, K, n) stack and each column of n x m probes.
 
     The terms come back as arrays, entry j pairing column j of probes with
-    dual j (a single dual or probe serves every entry). Checks no input: the
-    caller's builder has checked that each dual is an alternate dual of lam,
-    and the probes are finite complex vectors of length n.
+    dual j (a single dual or probe serves every entry). The canonical
+    coefficients are D x, D the canonical dual, whose PostconditionError is
+    raised. Checks no input: the caller's builder has checked that each dual
+    is an alternate dual of lam, and the probes are finite complex vectors.
     """
     vecs = np.ascontiguousarray(probes.T)[..., np.newaxis]
     # One matrix-vector product per probe: the products of the one-vector call, bit for bit.
     lam_x = lam.stacked @ vecs
     gam_x = duals @ vecs
-    can_x = lam.stacked @ (frame_operator(lam).power(-1.0) @ vecs)
+    can_x = canonical_dual(lam).stacked @ vecs
     total = np.sum(np.abs(lam_x - gam_x) ** 2, axis=(-2, -1))
     canonical = np.sum(np.abs(lam_x - can_x) ** 2, axis=(-2, -1))
     residual = np.sum(np.abs(can_x - gam_x) ** 2, axis=(-2, -1))

@@ -58,7 +58,7 @@ def _checked_grid(value, rows: int, cols: int, where: str) -> list:
             raise FrameFormatError(f"{where} row {r} must be a list of {cols} numbers")
     for r, row in enumerate(value):
         for c, item in enumerate(row):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
+            if isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
                 raise FrameFormatError(f"{where}[{r}][{c}] is not a number")
             try:
                 finite = math.isfinite(item)
@@ -73,7 +73,8 @@ def _read_checked(raw_ops: list, dim_h: int):
     """(counts, re rows, im rows, has im per operator), read operator by operator.
 
     The only code that names a fault: it raises FrameFormatError for the
-    first one in document order, and reads int and float-subclass entries.
+    first one in document order, and reads int, float-subclass and numpy
+    integer and floating entries (not bool or numpy.bool_) as their value.
     """
     counts, re_rows, im_rows, has_im = [], [], [], []
     for idx, entry in enumerate(raw_ops):
@@ -154,8 +155,8 @@ def frame_from_dict(doc) -> GFrame:
     have read a true or false, in a grid holding a 0 or 1 (_read_bulk); the
     finiteness of the entries is checked on their array. Only a document
     that fails there is read again operator by operator (_read_checked),
-    which names the fault or reads the int and float-subclass entries the
-    bulk read left to it as their value.
+    which names the fault or reads the int, float-subclass and numpy number
+    entries the bulk read left to it as their value.
     """
     if not isinstance(doc, dict):
         raise FrameFormatError("frame document must be a JSON object")

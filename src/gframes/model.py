@@ -351,9 +351,8 @@ def canonical_dual(f: GFrame) -> GFrame:
 
 
 def reconstruct(f: GFrame, x) -> np.ndarray:
-    """Recover x as S^(-1) applied to the synthesis of the analysis coefficients."""
-    t = f.stacked
-    return frame_operator(f).power(-1.0) @ (t.conj().T @ (t @ as_vector(x, f.dim_h, "x")))
+    """Recover x as D* T x, D the canonical dual; raises canonical_dual's PostconditionError when D fails its check."""
+    return canonical_dual(f).stacked.conj().T @ (f.stacked @ as_vector(x, f.dim_h, "x"))
 
 
 def total_frobenius_energy(f: GFrame) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from gframes.model import GFrame
+
 
 @pytest.fixture
 def rng():
@@ -26,6 +28,15 @@ def random_spd(rng, n, shift=None):
     if shift is None:
         shift = 0.1 * n
     return s + shift * np.eye(n)
+
+
+def kappa_frame():
+    """n = 6, two 6 x 6 blocks, T = U diag(sigma) V* with kappa(S) = 9e9: the rank gate accepts it."""
+    rng = np.random.default_rng(2)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    sigma = np.geomspace(1.0, 1.0 / np.sqrt(9e9), 6)
+    return GFrame.from_stacked((u * sigma) @ v.conj().T, (6, 6))
 
 
 def harmonic_rows(k, n):

@@ -314,7 +314,7 @@ class TestDual:
         fields = parse_kv(out)
         frame = load_frame(path)
         _, (cert,) = certified_duals(frame, 1.0, [9])
-        # The command checks the dual again; its lines are the builder's certificate, bit for bit.
+        # The command prints the builder's certificate, bit for bit.
         printed = (fields["dual_residual"], fields["dual_tolerance"], fields["dual_passed"])
         assert printed == (repr(cert.residual), repr(cert.tolerance), repr(cert.passed))
         assert cert.passed and cert.residual <= 1e-8 * frame.dim_h
@@ -333,6 +333,17 @@ class TestDual:
         lam = load_frame(path)
         gam = load_frame(out_path)
         assert verify_alternate_dual(lam, gam).passed
+
+    def test_printed_residual_is_the_written_dual_s(self, capsys, tmp_path):
+        from gframes.duals import verify_alternate_dual
+        from gframes.io import load_frame
+
+        path, out_path = GOLDEN / "wide-vectors.frame.json", tmp_path / "d.json"
+        code, out, _ = run(capsys, "dual", str(path), "--magnitude", "1", "--seed", "9", "-o", str(out_path))
+        assert code == 0
+        # The command forms the dual equation once; forming it again on the file gives the same double.
+        cert = verify_alternate_dual(load_frame(path), load_frame(out_path))
+        assert parse_kv(out)["dual_residual"] == repr(cert.residual)
 
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dual", str(tmp_path / "nope.json"))

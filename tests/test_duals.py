@@ -259,8 +259,8 @@ def reference_dual(lam, magnitude, seed):
     norms = np.sqrt(np.add.reduceat(np.sum(blocks.real**2 + blocks.imag**2, axis=1), lam.offsets[:-1]))
     scale = np.divide(magnitude, norms, out=np.zeros_like(norms), where=norms > 0)
     deltas = blocks * np.repeat(scale, lam.counts)[:, np.newaxis]
-    correction = frame_operator(lam).power(-1.0) @ (t.conj().T @ deltas)
-    return canonical_dual(lam).stacked + deltas - t @ correction
+    canonical = canonical_dual(lam).stacked
+    return canonical + deltas - canonical @ (t.conj().T @ deltas)
 
 
 def same_bits(a, b):

@@ -58,6 +58,31 @@ class TestRandomGFrame:
         with pytest.raises(ValueError):
             random_gframe(2, (0, 3), seed=0)
 
+    def test_gives_up_after_retry_cap_substreams(self, monkeypatch, capsys):
+        from gframes.cli import main
+
+        substreams = []
+        real_stream = generators.stream
+
+        def recording_stream(seed, substream=0):
+            substreams.append((seed, substream))
+            return real_stream(seed, substream)
+
+        def rank_deficient(gens, counts, cols):
+            t = np.zeros((len(gens), sum(counts), cols), dtype=np.complex128)
+            t[:, 0, 0] = 1.0  # S = e_0 e_0*, which the rank gate refuses
+            return t
+
+        monkeypatch.setattr(generators, "stream", recording_stream)
+        monkeypatch.setattr(generators, "complex_gaussian_stack", rank_deficient)
+        with pytest.raises(GFrameError, match=r"^no frame obtained after 16 attempts for n = 3, counts = \[2, 2\]$"):
+            random_gframe(3, (2, 2), seed=5)
+        assert substreams == [(5, k) for k in range(generators.RETRY_CAP)] and generators.RETRY_CAP == 16
+        code = main(["gen", "random", "--n", "3", "--counts", "2,2", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: no frame obtained after 16 attempts for n = 3, counts = [2, 2]\n"
+
 
 class TestRandomParsevalGFrame:
     def test_budget_is_dimension(self):

@@ -39,9 +39,9 @@ from gframes.generators import (
     random_parseval_gframe,
 )
 from gframes.io import load_frame
-from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator
+from gframes.model import GFrame, canonical_dual, canonical_parseval, frame_operator, verify_alternate_dual
 
-from conftest import random_complex
+from conftest import kappa_frame, random_complex
 
 
 def orthonormal_rows_frame(n):
@@ -234,6 +234,15 @@ class TestPointwiseDualDecomposition:
             total, canonical, residual = pointwise_dual_decomposition(lam, dual, x)
             assert abs(total - canonical - residual) <= 1e-8 * (1 + total)
             assert total >= canonical - 1e-9  # canonical dual is pointwise closest
+
+    def test_refuses_a_frame_whose_canonical_dual_fails(self):
+        # On the kappa(S) = 9e9 frame the pseudo-inverse dual passes the dual equation,
+        # but the canonical coefficients come from the canonical dual, which fails it.
+        lam = kappa_frame()
+        gam = GFrame.from_stacked(np.linalg.pinv(lam.stacked).conj().T, lam.counts)
+        verify_alternate_dual(lam, gam).require()
+        with pytest.raises(PostconditionError, match="canonical dual fails the dual equation"):
+            pointwise_dual_decomposition(lam, gam, np.ones(6))
 
     def test_rejects_non_dual(self):
         lam = random_gframe(3, (2, 2), seed=23)

@@ -156,6 +156,42 @@ def test_integer_entries_load_as_float():
     assert f.stacked[0, 1] == complex(-3.0, 5.0)
 
 
+
+@pytest.mark.parametrize("first", [0.5, 1.0], ids=["no-unit-entry", "unit-entry"])
+@pytest.mark.parametrize("value", [np.float32(0.1), np.int64(3), np.uint8(7), np.float16(-2.5)],
+                         ids=lambda v: type(v).__name__)
+def test_numpy_number_entries_load_as_their_value(first, value):
+    # A grid holding a 1.0 has its entry types checked; numpy numbers pass that check too.
+    f = frame_from_dict(two_column_doc({"rows": 1, "re": [[first, value]], "im": [[value, 0.25]]}))
+    assert f.stacked[0, 0] == complex(first, float(value))
+    assert f.stacked[0, 1] == complex(float(value), 0.25)
+
+
+@pytest.mark.parametrize("first", [0.5, 1.0], ids=["no-unit-entry", "unit-entry"])
+@pytest.mark.parametrize("value", [True, np.True_, np.False_], ids=repr)
+def test_bool_entries_are_refused_numpy_ones_too(first, value):
+    with pytest.raises(FrameFormatError, match=r"^operators\[0\]\.re\[0\]\[1\] is not a number$"):
+        frame_from_dict(two_column_doc({"rows": 1, "re": [[first, value]]}))
+
+
+LIST_ENTRY = '{"dim_h": 2, "operators": [{"rows": 1, "re": [[1.5, [2.0]]]}]}'
+
+
+def test_list_entry_is_not_a_number():
+    # numpy refuses the grid as ragged, so the per-entry loop names the list.
+    with pytest.raises(FrameFormatError, match=r"^operators\[0\]\.re\[0\]\[1\] is not a number$"):
+        frame_from_dict(json.loads(LIST_ENTRY))
+
+
+def test_list_entry_exits_2_naming_the_entry(tmp_path, capsys):
+    path = tmp_path / "list-entry.json"
+    path.write_text(LIST_ENTRY)
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: operators[0].re[0][1] is not a number\n"
+
+
 # Finite doubles, with the cases repr and json could format differently made likely, and the
 # bounds of the ranges where orjson's spelling differs from repr's (exponent forms, and plain
 # decimals in [1e-5, 1e-4)).

@@ -34,7 +34,7 @@ from gframes.model import (
 )
 from gframes.generators import random_gframe, random_parseval_gframe
 
-from conftest import random_complex
+from conftest import kappa_frame, random_complex
 
 
 def orthonormal_rows_frame(n=2):
@@ -358,6 +358,12 @@ class TestReconstruct:
         f = GFrame([np.array([[1.0, 0.0]])])
         with pytest.raises(NotAFrameError):
             reconstruct(f, np.zeros(2))
+
+    def test_refuses_a_frame_whose_canonical_dual_fails(self):
+        # kappa(S) = 9e9 passes the rank gate, but S^(-1) there costs the canonical
+        # dual its dual equation, and x recovered through it would be ~1e-7 off.
+        with pytest.raises(PostconditionError, match="canonical dual fails the dual equation"):
+            reconstruct(kappa_frame(), np.ones(6))
 
 
 class TestEnergyDiagnostic:
